@@ -22,7 +22,6 @@ from .hopf import (
     dual_product,
     e_product,
     h_product,
-    key_str,
     p_coproduct,
     p_product,
     totally_primitive_basis,
@@ -50,19 +49,11 @@ def _emit(args, payload, plain_lines):
         print(json.dumps(payload, indent=2))
 
 
-def _element_lines(element):
+def _term_lines(element):
     return [
-        f"{rational_str(c)}\t{key_str(element.basis, k)}"
-        for k, c in element.terms.items()
+        f"{rational_str(c)}\t{' (x) '.join(texts)}"
+        for texts, c in element.canonical_terms()
     ]
-
-
-def _tensor_lines(tensor):
-    lines = []
-    for key, c in tensor.terms.items():
-        parts = " (x) ".join(key_str(b, k) for b, k in zip(tensor.bases, key))
-        lines.append(f"{rational_str(c)}\t{parts}")
-    return lines
 
 
 def cmd_insert(args):
@@ -117,7 +108,7 @@ def cmd_product(args):
         "factors": [pair_str(j0), pair_str(j1)],
         "result": result.to_json(),
     }
-    _emit(args, payload, _element_lines(result))
+    _emit(args, payload, _term_lines(result))
     return 0
 
 
@@ -129,7 +120,7 @@ def cmd_coproduct(args):
         "pair": pair_str(j),
         "result": result.to_json(),
     }
-    _emit(args, payload, _tensor_lines(result))
+    _emit(args, payload, _term_lines(result))
     return 0
 
 
@@ -192,7 +183,7 @@ def cmd_primitives(args):
     lines = []
     for element in basis:
         lines.append("; ".join(
-            f"{rational_str(c)} {key_str('P', k)}" for k, c in element.terms.items()
+            f"{rational_str(c)} {texts[0]}" for texts, c in element.canonical_terms()
         ))
     _emit(args, payload, lines)
     return 0

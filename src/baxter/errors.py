@@ -9,7 +9,9 @@ class NotInSubalgebraError(ValueError):
     """An element of the permutation algebra is not constant on some
     congruence class, so it cannot be rewritten in a class-sum basis.
 
-    ``pair`` holds the offending class, as a twin pair of unlabeled trees.
+    ``pair`` holds the offending class key in the target basis: a twin
+    pair of unlabeled trees for ``P``, a single tree for ``Psylv``, and a
+    tuple with one such key per factor for a tensor.
     """
 
     def __init__(self, message, pair=None):

@@ -9,7 +9,10 @@ basis ``Pstar``.  ``Psylv`` indexes class sums of the sylvester
 congruence (shapes of single right trees), which embed via ``rho``.
 
 Elements are finite rational linear combinations of keys in one named
-basis; all coefficients are exact ``fractions.Fraction`` values.
+basis; a tensor is an :class:`Element` whose basis is a tuple of names
+and whose keys are tuples of keys.  All coefficients are exact
+``fractions.Fraction`` values.  Terms are kept in no particular order
+and are put in canonical (degree, key text) order only when printed.
 """
 
 from __future__ import annotations
@@ -74,31 +77,37 @@ def key_str(basis: str, key) -> str:
     return tree_str(key)
 
 
-def _sort_key(basis, key):
-    return (key_degree(basis, key), key_str(basis, key))
+def _names(basis):
+    """The basis name of each factor: one for a plain basis, one per
+    factor for a tensor."""
+    return (basis,) if isinstance(basis, str) else basis
 
 
 class Element:
     """A finitely supported map from basis keys to nonzero rationals.
 
-    Keys of one element all live in one named basis; mixed degrees are
-    fine.  Terms are kept sorted by (degree, key text), so equal elements
-    print identically.
+    ``basis`` is either one basis name, whose keys are plain basis keys,
+    or a tuple of names for a tensor, whose keys are tuples holding one
+    basis key per factor.  Mixed degrees are fine.  ``terms`` is a plain
+    dict in no particular order; :meth:`canonical_terms` puts it in the
+    canonical (degree, key text) order, which is how every printed form
+    lists terms, so equal elements print identically.
     """
 
     __slots__ = ("basis", "terms")
 
-    def __init__(self, basis: str, terms=()):
-        if basis not in _KEY_KIND:
-            raise ValueError(f"unknown basis {basis!r}")
+    def __init__(self, basis, terms=()):
+        if not isinstance(basis, str):
+            basis = tuple(basis)
+        for name in _names(basis):
+            if name not in _KEY_KIND:
+                raise ValueError(f"unknown basis {name!r}")
         acc = {}
         items = terms.items() if hasattr(terms, "items") else terms
         for key, coeff in items:
-            acc[key] = acc.get(key, Fraction(0)) + Fraction(coeff)
+            acc[key] = acc.get(key, 0) + Fraction(coeff)
         self.basis = basis
-        self.terms = {
-            k: acc[k] for k in sorted(acc, key=lambda k: _sort_key(basis, k)) if acc[k]
-        }
+        self.terms = {k: c for k, c in acc.items() if c}
 
     def __eq__(self, other):
         return (
@@ -108,7 +117,7 @@ class Element:
         )
 
     def __hash__(self):
-        return hash((self.basis, tuple(self.terms.items())))
+        return hash((self.basis, frozenset(self.terms.items())))
 
     def __bool__(self):
         return bool(self.terms)
@@ -117,7 +126,7 @@ class Element:
         if not isinstance(other, Element) or other.basis != self.basis:
             raise ValueError("can only add elements of the same basis")
         return Element(
-            self.basis, list(self.terms.items()) + list(other.terms.items())
+            self.basis, itertools.chain(self.terms.items(), other.terms.items())
         )
 
     def __neg__(self):
@@ -141,108 +150,36 @@ class Element:
     def support(self):
         return set(self.terms)
 
-    def __repr__(self):
-        if not self.terms:
-            return f"<0 in {self.basis}>"
-        bits = []
-        for k, c in self.terms.items():
-            coeff = "" if c == 1 else ("-" if c == -1 else rational_str(c) + "*")
-            bits.append(f"{coeff}{self.basis}[{key_str(self.basis, k)}]")
-        return "<" + " + ".join(bits).replace("+ -", "- ") + ">"
-
-    def to_json(self):
-        return {
-            "basis": self.basis,
-            "terms": [
-                {"coeff": rational_str(c), "key": key_str(self.basis, k)}
-                for k, c in self.terms.items()
-            ],
-        }
-
-
-class TensorElement:
-    """A rational combination of pure tensors of basis keys."""
-
-    __slots__ = ("bases", "terms")
-
-    def __init__(self, bases, terms=()):
-        bases = tuple(bases)
-        for b in bases:
-            if b not in _KEY_KIND:
-                raise ValueError(f"unknown basis {b!r}")
-        acc = {}
-        items = terms.items() if hasattr(terms, "items") else terms
-        for key, coeff in items:
-            acc[key] = acc.get(key, Fraction(0)) + Fraction(coeff)
-        self.bases = bases
-
-        def order(key):
-            return (
-                tuple(key_degree(b, k) for b, k in zip(bases, key)),
-                tuple(key_str(b, k) for b, k in zip(bases, key)),
-            )
-
-        self.terms = {k: acc[k] for k in sorted(acc, key=order) if acc[k]}
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorElement)
-            and self.bases == other.bases
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.bases, tuple(self.terms.items())))
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __add__(self, other):
-        if not isinstance(other, TensorElement) or other.bases != self.bases:
-            raise ValueError("can only add tensors over the same bases")
-        return TensorElement(
-            self.bases, list(self.terms.items()) + list(other.terms.items())
-        )
-
-    def __neg__(self):
-        return TensorElement(self.bases, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rmul__(self, scalar):
-        scalar = Fraction(scalar)
-        return TensorElement(self.bases, {k: scalar * c for k, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, TensorElement):
-            return tensor_product(self, other)
-        return self.__rmul__(other)
-
-    def coeff(self, key) -> Fraction:
-        return self.terms.get(key, Fraction(0))
-
-    def __repr__(self):
-        if not self.terms:
-            return f"<0 in {'x'.join(self.bases)}>"
-        bits = []
+    def canonical_terms(self):
+        """``(texts, coeff)`` per term, ``texts`` holding one key text per
+        factor, sorted by the factor degrees and then by the texts."""
+        tensor = not isinstance(self.basis, str)
+        rows = []
         for key, c in self.terms.items():
+            factors = tuple(zip(_names(self.basis), key if tensor else (key,)))
+            degrees = tuple(key_degree(b, k) for b, k in factors)
+            rows.append((degrees, tuple(key_str(b, k) for b, k in factors), c))
+        rows.sort(key=lambda row: row[:2])
+        return [(texts, c) for _, texts, c in rows]
+
+    def __repr__(self):
+        names = _names(self.basis)
+        if not self.terms:
+            return f"<0 in {'x'.join(names)}>"
+        bits = []
+        for texts, c in self.canonical_terms():
             coeff = "" if c == 1 else ("-" if c == -1 else rational_str(c) + "*")
-            body = " (x) ".join(
-                f"{b}[{key_str(b, k)}]" for b, k in zip(self.bases, key)
-            )
+            body = " (x) ".join(f"{b}[{t}]" for b, t in zip(names, texts))
             bits.append(f"{coeff}{body}")
         return "<" + " + ".join(bits).replace("+ -", "- ") + ">"
 
     def to_json(self):
+        tensor = not isinstance(self.basis, str)
         return {
-            "basis": list(self.bases),
+            "basis": list(self.basis) if tensor else self.basis,
             "terms": [
-                {
-                    "coeff": rational_str(c),
-                    "key": [key_str(b, k) for b, k in zip(self.bases, key)],
-                }
-                for key, c in self.terms.items()
+                {"coeff": rational_str(c), "key": list(texts) if tensor else texts[0]}
+                for texts, c in self.canonical_terms()
             ],
         }
 
@@ -287,7 +224,7 @@ def f_product(x: Element, y: Element) -> Element:
     return element_product(x, y)
 
 
-def f_coproduct(x: Element) -> TensorElement:
+def f_coproduct(x: Element) -> Element:
     """Coproduct in the F basis: deconcatenate and standardize each part."""
     if x.basis != "F":
         raise ValueError("f_coproduct needs an F-basis element")
@@ -295,7 +232,7 @@ def f_coproduct(x: Element) -> TensorElement:
     for s, c in x.terms.items():
         for i in range(len(s) + 1):
             acc.append(((standardize(s[:i]), standardize(s[i:])), c))
-    return TensorElement(("F", "F"), acc)
+    return Element(("F", "F"), acc)
 
 
 def f_prec(x: Element, y: Element) -> Element:
@@ -329,7 +266,7 @@ def f_succ(x: Element, y: Element) -> Element:
     return Element("F", acc)
 
 
-def f_coproduct_left(x: Element) -> TensorElement:
+def f_coproduct_left(x: Element) -> Element:
     """Half coproduct: proper splits keeping the maximal letter left."""
     if x.basis != "F":
         raise ValueError("dendriform operations need F-basis elements")
@@ -340,10 +277,10 @@ def f_coproduct_left(x: Element) -> TensorElement:
         pos_max = s.index(len(s)) + 1
         for i in range(pos_max, len(s)):
             acc.append(((standardize(s[:i]), standardize(s[i:])), c))
-    return TensorElement(("F", "F"), acc)
+    return Element(("F", "F"), acc)
 
 
-def f_coproduct_right(x: Element) -> TensorElement:
+def f_coproduct_right(x: Element) -> Element:
     """Half coproduct: proper splits keeping the maximal letter right."""
     if x.basis != "F":
         raise ValueError("dendriform operations need F-basis elements")
@@ -354,7 +291,7 @@ def f_coproduct_right(x: Element) -> TensorElement:
         pos_max = s.index(len(s)) + 1
         for i in range(1, pos_max):
             acc.append(((standardize(s[:i]), standardize(s[i:])), c))
-    return TensorElement(("F", "F"), acc)
+    return Element(("F", "F"), acc)
 
 
 # ---------------------------------------------------------------------------
@@ -377,52 +314,40 @@ def theta(x: Element) -> Element:
     return Element("F", acc)
 
 
-def f_collect_to_p(x: Element) -> Element:
-    """Rewrite an F-element as a P-element, or raise.
+def collect(x: Element, basis: str, shape, members) -> Element:
+    """Rewrite an F-element, or a tensor of F factors, as class sums, or raise.
 
-    Raises :class:`NotInSubalgebraError` (naming an offending class) when
-    some congruence class does not carry a constant coefficient.
+    ``shape`` maps a permutation to the key of its class in ``basis`` and
+    ``members`` lists the permutations of a class; on a tensor both act
+    factor by factor and every factor of the result is in ``basis``.
+    Raises :class:`NotInSubalgebraError`, with ``pair`` set to the
+    offending class key, when some class does not carry a constant
+    coefficient.
     """
-    if x.basis != "F":
-        raise ValueError("f_collect_to_p needs an F-basis element")
+    tensor = not isinstance(x.basis, str)
+    names = _names(x.basis)
+    if set(names) != {"F"}:
+        raise ValueError("only F-basis elements collect into class sums")
     remaining = dict(x.terms)
     out = {}
     while remaining:
         s = next(iter(remaining))
-        j = p_shape(s)
         c = remaining[s]
-        for member in class_of_pair(j):
-            if remaining.get(member) != c:
+        keys = tuple(shape(part) for part in (s if tensor else (s,)))
+        key = keys if tensor else keys[0]
+        for member in itertools.product(*(members(k) for k in keys)):
+            if remaining.pop(member if tensor else member[0], None) != c:
+                text = " (x) ".join(key_str(basis, k) for k in keys)
                 raise NotInSubalgebraError(
-                    f"coefficients not constant on the class of {pair_str(j)}",
-                    pair=j,
+                    f"coefficients not constant on the class of {text}", pair=key
                 )
-            del remaining[member]
-        out[j] = c
-    return Element("P", out)
+        out[key] = c
+    return Element((basis,) * len(names) if tensor else basis, out)
 
 
-def tensor_collect_to_p(tx: TensorElement) -> TensorElement:
-    """Rewrite an F(x)F tensor as a P(x)P tensor, or raise."""
-    if tx.bases != ("F", "F"):
-        raise ValueError("tensor_collect_to_p needs an F(x)F tensor")
-    remaining = dict(tx.terms)
-    out = {}
-    while remaining:
-        s, t = next(iter(remaining))
-        j0, j1 = p_shape(s), p_shape(t)
-        c = remaining[(s, t)]
-        for a in class_of_pair(j0):
-            for b in class_of_pair(j1):
-                if remaining.get((a, b)) != c:
-                    raise NotInSubalgebraError(
-                        "coefficients not constant on the class pair "
-                        f"{pair_str(j0)} (x) {pair_str(j1)}",
-                        pair=(j0, j1),
-                    )
-                del remaining[(a, b)]
-        out[(j0, j1)] = c
-    return TensorElement(("P", "P"), out)
+def f_collect_to_p(x: Element) -> Element:
+    """Rewrite an F-element, or an F(x)F tensor, in the P basis, or raise."""
+    return collect(x, "P", p_shape, class_of_pair)
 
 
 @lru_cache(maxsize=None)
@@ -439,11 +364,11 @@ def p_product(j0, j1) -> Element:
 
 
 @lru_cache(maxsize=None)
-def p_coproduct(j) -> TensorElement:
+def p_coproduct(j) -> Element:
     """Coproduct of a P basis element, collected into P(x)P."""
     config.check_product_degree(tree_size(j[0]))
     try:
-        return tensor_collect_to_p(f_coproduct(p_to_f(j)))
+        return f_collect_to_p(f_coproduct(p_to_f(j)))
     except NotInSubalgebraError as exc:
         raise InternalInvariantError(
             f"coproduct of a class sum failed to collect: {exc}"
@@ -459,94 +384,85 @@ def _pairs_sorted(n):
 
 
 @lru_cache(maxsize=None)
+def order_sum_tables(basis: str, n: int):
+    """Degree-n base-change tables between an order-sum basis and P.
+
+    ``basis`` is ``"E"``, which sums P over upper sets of the lattice, or
+    ``"H"``, which sums over lower sets.  Returns ``(forward, inverse)``:
+    ``forward[j]`` expands the ``basis`` element at ``j`` in P, and
+    ``inverse[j]`` expands P at ``j`` in ``basis`` by Moebius inversion.
+    """
+    if basis not in ("E", "H"):
+        raise ValueError(f"not an order-sum basis: {basis!r}")
+    pairs = _pairs_sorted(n)
+    upper = basis == "E"
+    cone = {
+        j: [j2 for j2 in pairs if (baxter_leq(j, j2) if upper else baxter_leq(j2, j))]
+        for j in pairs
+    }
+    forward = {j: Element("P", {j2: 1 for j2 in cone[j]}) for j in pairs}
+    inverse = {}
+
+    def expand(j):
+        if j not in inverse:
+            terms = {j: Fraction(1)}
+            for j2 in cone[j]:
+                if j2 != j:
+                    for k, c in expand(j2).terms.items():
+                        terms[k] = terms.get(k, 0) - c
+            inverse[j] = Element(basis, terms)
+        return inverse[j]
+
+    for j in pairs:
+        expand(j)
+    return forward, inverse
+
+
 def e_from_p(n: int):
     """Table expanding each degree-n E basis element in the P basis."""
-    pairs = _pairs_sorted(n)
-    return {
-        j: Element("P", {j2: 1 for j2 in pairs if baxter_leq(j, j2)}) for j in pairs
-    }
+    return order_sum_tables("E", n)[0]
 
 
-@lru_cache(maxsize=None)
 def h_from_p(n: int):
     """Table expanding each degree-n H basis element in the P basis."""
-    pairs = _pairs_sorted(n)
-    return {
-        j: Element("P", {j2: 1 for j2 in pairs if baxter_leq(j2, j)}) for j in pairs
-    }
+    return order_sum_tables("H", n)[0]
 
 
-@lru_cache(maxsize=None)
 def p_from_e(n: int):
     """Table expanding each degree-n P basis element in the E basis."""
-    pairs = _pairs_sorted(n)
-    memo = {}
-
-    def expand(j):
-        if j not in memo:
-            terms = {j: Fraction(1)}
-            for j2 in pairs:
-                if j2 != j and baxter_leq(j, j2):
-                    for k, c in expand(j2).terms.items():
-                        terms[k] = terms.get(k, Fraction(0)) - c
-            memo[j] = Element("E", terms)
-        return memo[j]
-
-    for j in pairs:
-        expand(j)
-    return memo
+    return order_sum_tables("E", n)[1]
 
 
-@lru_cache(maxsize=None)
 def p_from_h(n: int):
     """Table expanding each degree-n P basis element in the H basis."""
-    pairs = _pairs_sorted(n)
-    memo = {}
-
-    def expand(j):
-        if j not in memo:
-            terms = {j: Fraction(1)}
-            for j2 in pairs:
-                if j2 != j and baxter_leq(j2, j):
-                    for k, c in expand(j2).terms.items():
-                        terms[k] = terms.get(k, Fraction(0)) - c
-            memo[j] = Element("H", terms)
-        return memo[j]
-
-    for j in pairs:
-        expand(j)
-    return memo
+    return order_sum_tables("H", n)[1]
 
 
-def _change_basis(x: Element, table, basis: str) -> Element:
-    acc = []
-    for j, c in x.terms.items():
-        for k, d in table[key_degree(x.basis, j)][j].terms.items():
-            acc.append((k, c * d))
-    return Element(basis, acc)
+def order_sum_product(basis: str, j0, j1) -> Element:
+    """Product of two E (or H) basis elements, computed honestly: expand
+    to P, multiply, and re-express in ``basis``."""
+    n0, n1 = tree_size(j0[0]), tree_size(j1[0])
+    config.check_product_degree(n0 + n1)
+    in_p = Element("P", [
+        (j, ca * cb * c)
+        for ja, ca in order_sum_tables(basis, n0)[0][j0].terms.items()
+        for jb, cb in order_sum_tables(basis, n1)[0][j1].terms.items()
+        for j, c in p_product(ja, jb).terms.items()
+    ])
+    inverse = order_sum_tables(basis, n0 + n1)[1]
+    return Element(basis, [
+        (k, c * d) for j, c in in_p.terms.items() for k, d in inverse[j].terms.items()
+    ])
 
 
 def e_product(j0, j1) -> Element:
-    """Product of two E basis elements, computed honestly: expand to P,
-    multiply, and re-express in E."""
-    n0, n1 = tree_size(j0[0]), tree_size(j1[0])
-    config.check_product_degree(n0 + n1)
-    total = Element("P", ())
-    for ja, ca in e_from_p(n0)[j0].terms.items():
-        for jb, cb in e_from_p(n1)[j1].terms.items():
-            total = total + (ca * cb) * p_product(ja, jb)
-    return _change_basis(total, {n0 + n1: p_from_e(n0 + n1)}, "E")
+    """Product of two E basis elements, re-expressed in E."""
+    return order_sum_product("E", j0, j1)
 
 
 def h_product(j0, j1) -> Element:
     """Product of two H basis elements, re-expressed in H."""
-    n0, n1 = tree_size(j0[0]), tree_size(j1[0])
-    config.check_product_degree(n0 + n1)
-    total = Element("P", ())
-    for ja, ca in h_from_p(n0)[j0].terms.items():
-        for jb, cb in h_from_p(n1)[j1].terms.items():
-            total = total + (ca * cb) * p_product(ja, jb)
-    return _change_basis(total, {n0 + n1: p_from_h(n0 + n1)}, "H")
+    return order_sum_product("H", j0, j1)
 
 
 # ---------------------------------------------------------------------------
@@ -595,22 +511,7 @@ def sylv_to_f(t) -> Element:
 
 def f_collect_to_sylv(x: Element) -> Element:
     """Rewrite an F-element as sylvester class sums, or raise."""
-    if x.basis != "F":
-        raise ValueError("f_collect_to_sylv needs an F-basis element")
-    remaining = dict(x.terms)
-    out = {}
-    while remaining:
-        s = next(iter(remaining))
-        t = p_shape(s)[1]
-        c = remaining[s]
-        for member in sylvester_class_of_tree(t):
-            if remaining.get(member) != c:
-                raise NotInSubalgebraError(
-                    f"coefficients not constant on the sylvester class of {tree_str(t)}"
-                )
-            del remaining[member]
-        out[t] = c
-    return Element("Psylv", out)
+    return collect(x, "Psylv", lambda s: p_shape(s)[1], sylvester_class_of_tree)
 
 
 @lru_cache(maxsize=None)
@@ -667,7 +568,7 @@ def fstar_product(x: Element, y: Element) -> Element:
     return element_product(x, y)
 
 
-def fstar_coproduct(x: Element) -> TensorElement:
+def fstar_coproduct(x: Element) -> Element:
     """Coproduct in Fstar: split by value intervals (dual to the shifted
     shuffle)."""
     if x.basis != "Fstar":
@@ -678,7 +579,7 @@ def fstar_coproduct(x: Element) -> TensorElement:
             left = tuple(a for a in s if a <= k)
             right = standardize(tuple(a for a in s if a > k))
             acc.append(((left, right), c))
-    return TensorElement(("Fstar", "Fstar"), acc)
+    return Element(("Fstar", "Fstar"), acc)
 
 
 def phi(x: Element) -> Element:
@@ -702,11 +603,11 @@ def dual_product(j0, j1) -> Element:
     return phi(_fstar_key_product(min_perm(j0), min_perm(j1)))
 
 
-def dual_coproduct(j) -> TensorElement:
+def dual_coproduct(j) -> Element:
     """Coproduct of a Pstar basis element via any class representative."""
     tx = fstar_coproduct(fstar_element(min_perm(j)))
     acc = [(((p_shape(a), p_shape(b))), c) for (a, b), c in tx.terms.items()]
-    return TensorElement(("Pstar", "Pstar"), acc)
+    return Element(("Pstar", "Pstar"), acc)
 
 
 def phi_psi_theta(x: Element) -> Element:
@@ -845,34 +746,27 @@ def series_check(nmax: int, tp_nmax=None) -> SeriesReport:
 
 
 def element_product(x: Element, y: Element) -> Element:
-    """Multiply two elements of the same basis, bilinearly."""
+    """Multiply two elements over the same basis, bilinearly; tensors
+    multiply factor by factor."""
     if not isinstance(y, Element) or x.basis != y.basis:
         raise ValueError("can only multiply elements of the same basis")
-    fn = _KEY_PRODUCTS[x.basis]
+    tensor = not isinstance(x.basis, str)
+    products = [_KEY_PRODUCTS[name] for name in _names(x.basis)]
     acc = []
-    for k0, c0 in x.terms.items():
-        for k1, c1 in y.terms.items():
-            scale = c0 * c1
-            for k, c in fn(k0, k1).terms.items():
-                acc.append((k, scale * c))
+    for a, c in x.terms.items():
+        for b, d in y.terms.items():
+            pairs = zip(a, b) if tensor else ((a, b),)
+            factors = [fn(ak, bk).terms.items() for fn, (ak, bk) in zip(products, pairs)]
+            for combo in itertools.product(*factors):
+                coeff = c * d
+                for _, factor_coeff in combo:
+                    coeff *= factor_coeff
+                key = tuple(k for k, _ in combo) if tensor else combo[0][0]
+                acc.append((key, coeff))
     return Element(x.basis, acc)
 
 
-def tensor_product(tx: TensorElement, ty: TensorElement) -> TensorElement:
-    """Componentwise product of tensors over the same bases."""
-    if not isinstance(ty, TensorElement) or tx.bases != ty.bases:
-        raise ValueError("can only multiply tensors over the same bases")
-    f0, f1 = (_KEY_PRODUCTS[b] for b in tx.bases)
-    acc = []
-    for (a0, a1), c in tx.terms.items():
-        for (b0, b1), d in ty.terms.items():
-            scale = c * d
-            left = f0(a0, b0)
-            right = f1(a1, b1)
-            for k0, c0 in left.terms.items():
-                for k1, c1 in right.terms.items():
-                    acc.append(((k0, k1), scale * c0 * c1))
-    return TensorElement(tx.bases, acc)
+tensor_product = element_product
 
 
 _KEY_PRODUCTS = {

@@ -775,7 +775,7 @@ def _bits(mask):
 
 
 def _p_coproduct_linear(x):
-    out = hopf.TensorElement(("P", "P"), ())
+    out = hopf.Element(("P", "P"), ())
     for j, c in x.terms.items():
         out = out + c * hopf.p_coproduct(j)
     return out
@@ -790,14 +790,14 @@ def hopf_suite(max_n=5):
         hopf.f_product(hopf.f_element((1,)), hopf.f_element((1,)))
         == hopf.Element("F", {(1, 2): 1, (2, 1): 1})
         and hopf.f_coproduct(hopf.f_element((2, 1)))
-        == hopf.TensorElement(
+        == hopf.Element(
             ("F", "F"), {((), (2, 1)): 1, ((1,), (1,)): 1, ((2, 1), ()): 1})
         and hopf.f_prec(hopf.f_element((1,)), hopf.f_element((1,)))
         == hopf.Element("F", {(2, 1): 1})
         and hopf.f_succ(hopf.f_element((1,)), hopf.f_element((1,)))
         == hopf.Element("F", {(1, 2): 1})
         and hopf.f_coproduct_left(hopf.f_element((2, 1)))
-        == hopf.TensorElement(("F", "F"), {((1,), (1,)): 1})
+        == hopf.Element(("F", "F"), {((1,), (1,)): 1})
         and not hopf.f_coproduct_right(hopf.f_element((2, 1)))
         and hopf.p_to_f(p_shape((2, 1, 4, 3)))
         == hopf.Element("F", {(2, 1, 4, 3): 1, (2, 4, 1, 3): 1})
@@ -871,7 +871,7 @@ def hopf_suite(max_n=5):
             for j0 in pairs[d0]:
                 for j1 in pairs[d1]:
                     lhs = _p_coproduct_linear(hopf.p_product(j0, j1))
-                    rhs = hopf.tensor_product(hopf.p_coproduct(j0), hopf.p_coproduct(j1))
+                    rhs = hopf.element_product(hopf.p_coproduct(j0), hopf.p_coproduct(j1))
                     if lhs != rhs:
                         compat_ok = False
     checks.append(_check(
@@ -917,7 +917,7 @@ def hopf_suite(max_n=5):
             x = hopf.theta(hopf.p_element(j))
             full = hopf.f_coproduct(x)
             halves = hopf.f_coproduct_left(x) + hopf.f_coproduct_right(x)
-            ends = hopf.TensorElement(
+            ends = hopf.Element(
                 ("F", "F"),
                 [(((), s), c) for s, c in x.terms.items()]
                 + [((s, ()), c) for s, c in x.terms.items()],
@@ -925,8 +925,8 @@ def hopf_suite(max_n=5):
             if full != halves + ends:
                 split_ok = False
             try:
-                hopf.tensor_collect_to_p(hopf.f_coproduct_left(x))
-                hopf.tensor_collect_to_p(hopf.f_coproduct_right(x))
+                hopf.f_collect_to_p(hopf.f_coproduct_left(x))
+                hopf.f_collect_to_p(hopf.f_coproduct_right(x))
             except Exception:  # pragma: no cover - falsifies closure
                 dend_closed_ok = False
     for d0 in range(1, dend_deg):
@@ -967,7 +967,7 @@ def hopf_suite(max_n=5):
         for s in all_perms(a):
             lhs = hopf.fstar_coproduct(hopf.psi(hopf.f_element(s)))
             tx = hopf.f_coproduct(hopf.f_element(s))
-            rhs = hopf.TensorElement(
+            rhs = hopf.Element(
                 ("Fstar", "Fstar"),
                 [((inverse(u), inverse(v)), c) for (u, v), c in tx.terms.items()])
             if lhs != rhs:
@@ -995,7 +995,7 @@ def hopf_suite(max_n=5):
             results = set()
             for s in class_of_pair(j):
                 tx = hopf.fstar_coproduct(hopf.fstar_element(s))
-                results.add(hopf.TensorElement(
+                results.add(hopf.Element(
                     ("Pstar", "Pstar"),
                     [((p_shape(a), p_shape(b)), c) for (a, b), c in tx.terms.items()]))
             if results != {hopf.dual_coproduct(j)}:

@@ -216,3 +216,106 @@ def test_malformed_word_exits_two(capsys):
     code, _, err = run_cli(capsys, "insert", "12x")
     assert code == 2
     assert "position" in err
+
+
+# Exact stdout of the algebra commands, JSON and --plain, so that the
+# canonical (degree, text) order of terms is pinned, not only their count.
+_A = "[ ((. (. .)) .) | ((. .) (. .)) ]"
+_B = "[ (. (. .)) | ((. .) .) ]"
+_C = "[ ((. .) ((. .) .)) | ((. (. .)) (. .)) ]"
+_E = "[ . | . ]"
+_J1 = "[ (. .) | (. .) ]"
+_PRODUCT_AB = [
+    "[ (((. (. .)) .) (. .)) | (((. .) (. (. .))) .) ]",
+    "[ (((. (. .)) .) (. .)) | ((. .) ((. (. .)) .)) ]",
+    "[ (((. (. .)) .) (. .)) | ((. .) (. ((. .) .))) ]",
+    "[ ((. (. .)) (. (. .))) | ((((. .) (. .)) .) .) ]",
+    "[ ((. (. .)) (. (. .))) | (((. .) ((. .) .)) .) ]",
+    "[ ((. (. .)) (. (. .))) | ((. .) (((. .) .) .)) ]",
+]
+_COPRODUCT_C = [
+    (_E, _C),
+    (_J1, _A),
+    (_J1, "[ (. ((. .) .)) | ((. .) (. .)) ]"),
+    ("[ ((. .) .) | (. (. .)) ]", "[ ((. .) .) | (. (. .)) ]"),
+    (_B, _B),
+    ("[ ((. .) (. .)) | ((. (. .)) .) ]", _J1),
+    ("[ ((. .) (. .)) | (. ((. .) .)) ]", _J1),
+    (_C, _E),
+]
+_COPRODUCT_B = [(_E, _B), (_J1, _J1), (_B, _E)]
+_DUAL_B_J1 = [
+    "[ ((. .) (. .)) | (. ((. .) .)) ]",
+    "[ (. ((. .) .)) | ((. .) (. .)) ]",
+    "[ (. (. (. .))) | (((. .) .) .) ]",
+]
+_P4 = [
+    "[ (((. .) .) (. .)) | (. ((. (. .)) .)) ]",
+    "[ (((. .) .) (. .)) | (. (. ((. .) .))) ]",
+    "[ ((. (. .)) (. .)) | ((. .) ((. .) .)) ]",
+    "[ ((. .) ((. .) .)) | (. ((. .) (. .))) ]",
+    "[ ((. .) (. (. .))) | (. (((. .) .) .)) ]",
+    "[ (. ((. (. .)) .)) | (((. .) .) (. .)) ]",
+    "[ (. (. ((. .) .))) | (((. .) .) (. .)) ]",
+    "[ ((. .) ((. .) .)) | ((. (. .)) (. .)) ]",
+    "[ (. (((. .) .) .)) | ((. .) (. (. .))) ]",
+    "[ (. ((. .) (. .))) | ((. .) ((. .) .)) ]",
+]
+_PRIMITIVES_4 = [
+    [("-1", _P4[2]), ("1", _P4[7])],
+    [("-1", _P4[3]), ("1", _P4[8])],
+    [("-1", _P4[4]), ("1", _P4[9])],
+    [("1", _P4[0]), ("1", _P4[1]), ("-1", _P4[2]), ("-1", _P4[3]),
+     ("-1", _P4[4]), ("1", _P4[5]), ("1", _P4[6])],
+]
+
+
+def _terms(basis, keys):
+    return {"basis": basis, "terms": [{"coeff": "1", "key": k} for k in keys]}
+
+
+def _tensor_terms(basis, keys):
+    return {"basis": [basis, basis],
+            "terms": [{"coeff": "1", "key": list(k)} for k in keys]}
+
+
+_GOLDEN = {
+    "product-P": (
+        ["product", "--basis", "P", _A, _B],
+        {"basis": "P", "factors": [_A, _B], "result": _terms("P", _PRODUCT_AB)},
+        [f"1\t{k}" for k in _PRODUCT_AB],
+    ),
+    "coproduct-P": (
+        ["coproduct", "--basis", "P", _C],
+        {"basis": "P", "pair": _C, "result": _tensor_terms("P", _COPRODUCT_C)},
+        [f"1\t{a} (x) {b}" for a, b in _COPRODUCT_C],
+    ),
+    "coproduct-Pstar": (
+        ["coproduct", "--basis", "Pstar", _B],
+        {"basis": "Pstar", "pair": _B, "result": _tensor_terms("Pstar", _COPRODUCT_B)},
+        [f"1\t{a} (x) {b}" for a, b in _COPRODUCT_B],
+    ),
+    "dual-product": (
+        ["dual-product", _B, _J1],
+        {"basis": "Pstar", "factors": [_B, _J1], "result": _terms("Pstar", _DUAL_B_J1)},
+        [f"1\t{k}" for k in _DUAL_B_J1],
+    ),
+    "primitives-4": (
+        ["primitives", "4"],
+        {"n": 4, "dimension": 4, "basis": [
+            {"basis": "P", "terms": [{"coeff": c, "key": k} for c, k in element]}
+            for element in _PRIMITIVES_4]},
+        ["; ".join(f"{c} {k}" for c, k in element) for element in _PRIMITIVES_4],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN))
+def test_algebra_output_is_byte_exact(capsys, name):
+    argv, payload, lines = _GOLDEN[name]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == json.dumps(payload, indent=2) + "\n"
+    code, out, _ = run_cli(capsys, *argv, "--plain")
+    assert code == 0
+    assert out == "".join(line + "\n" for line in lines)

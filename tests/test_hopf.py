@@ -13,6 +13,7 @@ from baxter.hopf import (
     e_product,
     element_product,
     f_collect_to_p,
+    f_collect_to_sylv,
     f_coproduct,
     f_coproduct_left,
     f_coproduct_right,
@@ -46,7 +47,7 @@ from baxter.hopf import (
     totally_primitive_basis,
 )
 from baxter.insertion import class_of_pair, p_shape
-from baxter.lattice import enumerate_tbt
+from baxter.lattice import baxter_leq, enumerate_tbt
 from baxter.trees import parse_pair, parse_tree
 
 
@@ -69,8 +70,51 @@ def test_element_arithmetic():
 
 
 def test_elements_of_different_bases_do_not_mix():
-    with pytest.raises(ValueError):
-        f_element((1,)) + fstar_element((1,))
+    tensor = Element(("F", "F"), {((1,), ()): 1})
+    for x, y in [
+        (f_element((1,)), fstar_element((1,))),
+        (f_element((1,)), tensor),
+        (tensor, Element(("F", "Fstar"), {((1,), ()): 1})),
+    ]:
+        with pytest.raises(ValueError):
+            x + y
+
+
+def test_element_is_independent_of_insertion_order():
+    pairs = [
+        ("F", [((2, 1), 1), ((1,), Fraction(1, 2)), ((1, 2), -3), ((), 1)]),
+        (("P", "P"), [((J12, J1), 1), ((J1, J12), 2), ((J1, J21), 1), ((J21, J1), -1)]),
+    ]
+    for basis, items in pairs:
+        x = Element(basis, items)
+        y = Element(basis, list(reversed(items)))
+        assert list(x.terms) != list(y.terms)
+        assert x == y
+        assert hash(x) == hash(y)
+        assert repr(x) == repr(y)
+        assert x.to_json() == y.to_json()
+
+
+def test_element_drops_zero_coefficients():
+    x = Element("F", [((1, 2), 1), ((2, 1), 0), ((1, 2), -1), ((1,), 2)])
+    assert x.terms == {(1,): Fraction(2)}
+    tensor = Element(("F", "F"), {((1,), ()): 0, ((), (1,)): 1})
+    assert tensor.terms == {((), (1,)): Fraction(1)}
+    assert not Element(("P", "P"), {(J1, J1): 0})
+
+
+def test_element_key_shapes():
+    x = p_element(J12) + p_element(J21)
+    assert set(x.terms) == {J12, J21}
+    delta = p_coproduct(J12)
+    assert delta.basis == ("P", "P")
+    assert all(isinstance(key, tuple) and len(key) == 2 for key in delta.terms)
+    assert (J1, J1) in delta.terms
+    assert repr(delta) == (
+        "<P[[ . | . ]] (x) P[[ (. (. .)) | ((. .) .) ]]"
+        " + P[[ (. .) | (. .) ]] (x) P[[ (. .) | (. .) ]]"
+        " + P[[ (. (. .)) | ((. .) .) ]] (x) P[[ . | . ]]>"
+    )
 
 
 def test_element_json_is_canonical():
@@ -142,6 +186,20 @@ def test_f_collect_to_p_rejects_partial_sums():
     assert info.value.pair == J2143
 
 
+def test_collect_names_the_offending_class_on_every_path():
+    tensor = Element(("F", "F"), {((2, 1, 4, 3), (1,)): 1, ((2, 4, 1, 3), (1,)): 2})
+    with pytest.raises(NotInSubalgebraError) as info:
+        f_collect_to_p(tensor)
+    assert info.value.pair == (J2143, J1)
+    whole = Element(("F", "F"), {((2, 1, 4, 3), (1,)): 3, ((2, 4, 1, 3), (1,)): 3})
+    assert f_collect_to_p(whole) == Element(("P", "P"), {(J2143, J1): 3})
+    t = parse_tree("((. .) (. .))")
+    with pytest.raises(NotInSubalgebraError) as info:
+        f_collect_to_sylv(f_element((1, 3, 2)))
+    assert info.value.pair == t
+    assert f_collect_to_sylv(sylv_to_f(t)) == sylv_element(t)
+
+
 def test_p_product_worked_example():
     j312 = p_shape((3, 1, 2))
     got = p_product(j312, J12)
@@ -199,6 +257,17 @@ def test_order_sum_bases_round_trip():
             for key, coeff in ph_table[pair].terms.items():
                 back = back + coeff * h_table[key]
             assert back == p_element(pair)
+
+
+def test_order_sum_tables_sum_over_upper_and_lower_sets():
+    for n in range(5):
+        pairs = enumerate_tbt(n)
+        e_table, h_table = e_from_p(n), h_from_p(n)
+        for j in pairs:
+            assert e_table[j] == Element(
+                "P", {j2: 1 for j2 in pairs if baxter_leq(j, j2)})
+            assert h_table[j] == Element(
+                "P", {j2: 1 for j2 in pairs if baxter_leq(j2, j)})
 
 
 def test_e_product_is_grafting():
