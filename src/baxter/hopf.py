@@ -105,7 +105,10 @@ class Element:
         acc = {}
         items = terms.items() if hasattr(terms, "items") else terms
         for key, coeff in items:
-            acc[key] = acc.get(key, 0) + Fraction(coeff)
+            if not isinstance(coeff, Fraction):
+                coeff = Fraction(coeff)
+            old = acc.get(key)
+            acc[key] = coeff if old is None else old + coeff
         self.basis = basis
         self.terms = {k: c for k, c in acc.items() if c}
 
@@ -751,7 +754,7 @@ def element_product(x: Element, y: Element) -> Element:
     if not isinstance(y, Element) or x.basis != y.basis:
         raise ValueError("can only multiply elements of the same basis")
     tensor = not isinstance(x.basis, str)
-    products = [_KEY_PRODUCTS[name] for name in _names(x.basis)]
+    products = [globals()[_KEY_PRODUCTS[name]] for name in _names(x.basis)]
     acc = []
     for a, c in x.terms.items():
         for b, d in y.terms.items():
@@ -769,12 +772,15 @@ def element_product(x: Element, y: Element) -> Element:
 tensor_product = element_product
 
 
+# basis name -> name of the product of two keys; looked up in the module
+# at call time, so a wrapper installed on e.g. ``hopf.p_product`` sees
+# the products made through :func:`element_product` too
 _KEY_PRODUCTS = {
-    "F": _f_key_product,
-    "Fstar": _fstar_key_product,
-    "P": p_product,
-    "E": e_product,
-    "H": h_product,
-    "Pstar": dual_product,
-    "Psylv": _sylv_key_product,
+    "F": "_f_key_product",
+    "Fstar": "_fstar_key_product",
+    "P": "p_product",
+    "E": "e_product",
+    "H": "h_product",
+    "Pstar": "dual_product",
+    "Psylv": "_sylv_key_product",
 }

@@ -20,21 +20,71 @@ from .errors import InternalInvariantError
 from .perms import check_permutation, is_baxter
 from .trees import (
     LNode,
-    _root_insert_keyed,
     canopies_complementary,
     canopy,
     infix_labeling,
-    leaf_insert,
     pair_str,
-    root_insert,
     size,
     unlabel,
 )
 from .words import check_word
 
 
+def _leaf_insertion(w, steps):
+    """Child arrays of the search tree made by leaf-inserting the
+    positions of ``w`` in the order ``steps``.
+
+    Position ``i`` has the key ``(w[i], i)``.  A new key hangs under
+    whichever of its in-order neighbours among the keys already inserted
+    came later: it becomes that predecessor's right child or that
+    successor's left child.  The neighbours are found by deleting the
+    positions from the key-sorted list in reverse insertion order, so
+    after one sort each costs O(1).  Returns ``(left, right)``, indexed
+    by position, where ``len(w)`` stands for no child.
+    """
+    n = len(w)
+    when = [0] * n + [-1]  # insertion step; the end mark n is never later
+    for step, i in enumerate(steps):
+        when[i] = step
+    before = [n] * (n + 1)
+    after = [n] * (n + 1)
+    keyed = sorted(range(n), key=w.__getitem__)  # stable: ties by position
+    for i, j in zip(keyed, keyed[1:]):
+        after[i] = j
+        before[j] = i
+    left = [n] * n
+    right = [n] * n
+    for i in reversed(steps):
+        p, s = before[i], after[i]
+        after[p] = s
+        before[s] = p
+        if when[p] > when[s]:
+            right[p] = i
+        elif s != n:
+            left[s] = i
+    return left, right
+
+
+def _freeze(steps, children, labels):
+    """Build the ``LNode`` tree from child arrays, children before parents
+    (a child is always inserted after its parent)."""
+    left, right = children
+    built = [None] * (len(left) + 1)
+    for i in reversed(steps):
+        built[i] = LNode(labels[i], built[left[i]], built[right[i]])
+    return built[steps[0]] if steps else None
+
+
 def p_symbol(u):
     """The pair (left BST by leaf insertion, right BST by root insertion).
+
+    Letter ``i`` of ``u`` has the key ``(u[i], i)``.  The left tree
+    leaf-inserts the keys left to right.  Root insertion gives the same
+    tree as leaf-inserting right to left; in that pass the earlier
+    position is the smaller key, so ties go left.  Each new key hangs
+    under whichever of its in-order neighbours among the keys already
+    inserted came later.  Both passes cost O(n log n) and are iterative,
+    so deep words need no raised recursion limit.
 
     >>> from .trees import ltree_str
     >>> left, right = p_symbol((2, 3, 1))
@@ -42,11 +92,10 @@ def p_symbol(u):
     ('(2 (1 . .) (3 . .))', '(1 . (3 (2 . .) .))')
     """
     w = check_word(u)
-    left = None
-    right = None
-    for a in w:
-        left = leaf_insert(left, a, "left")
-        right = root_insert(right, a)
+    forward = range(len(w))
+    left = _freeze(forward, _leaf_insertion(w, forward), w)
+    backward = forward[::-1]
+    right = _freeze(backward, _leaf_insertion(w, backward), w)
     return (left, right)
 
 
@@ -55,33 +104,27 @@ def q_symbol(u):
 
     Root insertion moves nodes around but never re-creates them; node
     number k of the Q-symbol sits where the letter inserted at step k
-    ended up.
+    ended up.  It is the right tree of :func:`p_symbol`, from the same
+    O(n log n) right-to-left pass, labeled by position instead of letter.
 
     >>> from .trees import ltree_str
     >>> ltree_str(q_symbol((1, 2)))
     '(2 (1 . .) .)'
     """
     w = check_word(u)
-    t = None
-    for step, a in enumerate(w, start=1):
-        t = _root_insert_keyed(t, (a, step), a, lambda lab: lab[0])
-
-    def strip(node):
-        if node is None:
-            return None
-        return LNode(node.label[1], strip(node.left), strip(node.right))
-
-    return strip(t)
+    backward = range(len(w))[::-1]
+    return _freeze(backward, _leaf_insertion(w, backward), range(1, len(w) + 1))
 
 
 def is_twin_pair(pair) -> bool:
-    """Equal sizes and complementary canopies (vacuous below size 2)."""
+    """Equal sizes and complementary canopies (vacuous below size 2).
+
+    A tree of n >= 1 nodes has a canopy of n - 1 bits, so complementary
+    canopies have equal sizes.
+    """
     left, right = pair
-    n = size(left)
-    if size(right) != n:
-        return False
-    if n == 0:
-        return True
+    if left is None or right is None:
+        return left is right
     return canopies_complementary(canopy(left), canopy(right))
 
 

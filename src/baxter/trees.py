@@ -39,15 +39,55 @@ def size(t) -> int:
     return 0 if t is None else 1 + size(t.left) + size(t.right)
 
 
+# Marks on the stacks of the iterative walks: join the last two finished
+# shapes into a Node (unlabel), and close a node's text (tree_str).
+_JOIN = object()
+_CLOSE = object()
+
+
 def unlabel(t):
-    """Forget labels, keeping the shape."""
-    if t is None:
-        return None
-    return Node(unlabel(t.left), unlabel(t.right))
+    """Forget labels, keeping the shape.
+
+    Iterative, so trees of any depth work at the default recursion limit.
+    """
+    done = []  # finished shapes, left before right
+    todo = [t]  # subtrees still to visit, and _JOIN marks
+    while todo:
+        item = todo.pop()
+        if item is _JOIN:
+            right = done.pop()
+            done[-1] = Node(done[-1], right)
+        elif item is None:
+            done.append(None)
+        else:
+            todo += (_JOIN, item.right, item.left)
+    return done[0]
 
 
 # ---------------------------------------------------------------------------
 # serialization
+
+
+def _text(t, labeled) -> str:
+    # Iterative: go down each left spine, stacking the right subtree still
+    # to print above the _CLOSE that ends its node.
+    parts = []
+    todo = []
+    node = t
+    while True:
+        while node is not None:
+            parts.append(f"({node.label} " if labeled else "(")
+            todo.append(_CLOSE)
+            todo.append(node.right)
+            node = node.left
+        parts.append(".")
+        while todo and todo[-1] is _CLOSE:
+            todo.pop()
+            parts.append(")")
+        if not todo:
+            return "".join(parts)
+        parts.append(" ")
+        node = todo.pop()
 
 
 def tree_str(t) -> str:
@@ -56,9 +96,7 @@ def tree_str(t) -> str:
     >>> tree_str(Node(Node(None, None), None))
     '((. .) .)'
     """
-    if t is None:
-        return "."
-    return f"({tree_str(t.left)} {tree_str(t.right)})"
+    return _text(t, False)
 
 
 def ltree_str(t) -> str:
@@ -67,9 +105,7 @@ def ltree_str(t) -> str:
     >>> ltree_str(LNode(3, LNode(1, None, None), None))
     '(3 (1 . .) .)'
     """
-    if t is None:
-        return "."
-    return f"({t.label} {ltree_str(t.left)} {ltree_str(t.right)})"
+    return _text(t, True)
 
 
 def pair_str(pair) -> str:
@@ -277,20 +313,20 @@ def canopy(t) -> str:
     """
     if t is None:
         raise ValueError("canopy of the empty tree is undefined")
+    # Between infix nodes k and k + 1 sits one leaf: node k's right leaf
+    # (0) if it has no right child, else node k + 1's left leaf (1).
     bits = []
-
-    def walk(node):
-        if node.left is None:
-            bits.append("1")
-        else:
-            walk(node.left)
-        if node.right is None:
-            bits.append("0")
-        else:
-            walk(node.right)
-
-    walk(t)
-    return "".join(bits[1:-1])
+    spine = []
+    node = t
+    while True:
+        while node is not None:
+            spine.append(node)
+            node = node.left
+        if not spine:
+            return "".join(bits[:-1])
+        node = spine.pop()
+        bits.append("0" if node.right is None else "1")
+        node = node.right
 
 
 def complement_canopy(c: str) -> str:
@@ -365,22 +401,22 @@ def leaf_insert(t, a: int, flavor: str):
     return LNode(t.label, t.left, leaf_insert(t.right, a, flavor))
 
 
-def _restrict_le(t, b, key):
-    # keep nodes with key <= b; a dropped node sheds its right subtree too
+def _restrict_le(t, b):
+    # keep nodes with label <= b; a dropped node sheds its right subtree too
     if t is None:
         return None
-    if key(t.label) <= b:
-        return LNode(t.label, t.left, _restrict_le(t.right, b, key))
-    return _restrict_le(t.left, b, key)
+    if t.label <= b:
+        return LNode(t.label, t.left, _restrict_le(t.right, b))
+    return _restrict_le(t.left, b)
 
 
-def _restrict_gt(t, b, key):
-    # keep nodes with key > b; a dropped node sheds its left subtree too
+def _restrict_gt(t, b):
+    # keep nodes with label > b; a dropped node sheds its left subtree too
     if t is None:
         return None
-    if key(t.label) > b:
-        return LNode(t.label, _restrict_gt(t.left, b, key), t.right)
-    return _restrict_gt(t.right, b, key)
+    if t.label > b:
+        return LNode(t.label, _restrict_gt(t.left, b), t.right)
+    return _restrict_gt(t.right, b)
 
 
 def restricted_trees(t, b: int):
@@ -394,12 +430,7 @@ def restricted_trees(t, b: int):
     >>> ltree_str(restricted_trees(t, 2)[1])
     '(4 (3 (3 . .) .) (5 . .))'
     """
-    ident = lambda x: x
-    return _restrict_le(t, b, ident), _restrict_gt(t, b, ident)
-
-
-def _root_insert_keyed(t, label, b, key):
-    return LNode(label, _restrict_le(t, b, key), _restrict_gt(t, b, key))
+    return _restrict_le(t, b), _restrict_gt(t, b)
 
 
 def root_insert(t, a: int):
@@ -411,8 +442,8 @@ def root_insert(t, a: int):
     >>> ltree_str(root_insert(LNode(5, None, None), 4))
     '(4 . (5 . .))'
     """
-    ident = lambda x: x
-    return _root_insert_keyed(t, a, a, ident)
+    left, right = restricted_trees(t, a)
+    return LNode(a, left, right)
 
 
 def infix_labeling(t):

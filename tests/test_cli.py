@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import baxter
 from baxter.cli import main
 
 
@@ -30,6 +34,22 @@ def test_insert_plain(capsys):
     assert code == 0
     lines = out.splitlines()
     assert any(line.startswith("left_tree: ") for line in lines)
+
+
+@pytest.mark.parametrize("order", ["increasing", "decreasing"])
+def test_insert_deep_word_at_the_default_recursion_limit(order):
+    letters = range(1, 1500) if order == "increasing" else range(1499, 0, -1)
+    src = os.path.dirname(os.path.dirname(baxter.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "baxter.cli", "insert", " ".join(map(str, letters))],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    payload = json.loads(proc.stdout)
+    bit = "1" if order == "increasing" else "0"
+    assert payload["left_canopy"] == bit * 1498
 
 
 def test_class_of_permutation(capsys):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import baxter.hopf as hopf
 from baxter.errors import NotInSubalgebraError
 from baxter.hopf import (
     Element,
@@ -242,6 +243,27 @@ def test_element_product_dispatches_by_basis():
     x = p_element(J1)
     got = element_product(x, x)
     assert got == p_element(J12) + p_element(J21)
+
+
+def test_element_product_calls_the_module_p_product(monkeypatch):
+    calls = []
+
+    def counted(j0, j1):
+        calls.append((j0, j1))
+        return p_product(j0, j1)
+
+    monkeypatch.setattr(hopf, "p_product", counted)
+    x = p_element(J21)
+    assert element_product(x, x) == p_product(J21, J21)
+    assert calls == [(J21, J21)]
+
+
+def test_element_coefficients_are_exact_fractions():
+    third = Fraction(1, 3)
+    x = Element("P", [(J1, third), (J1, 2), (J12, 1)])
+    assert x.terms == {J1: Fraction(7, 3), J12: Fraction(1)}
+    assert all(type(c) is Fraction for c in x.terms.values())
+    assert Element("P", {J1: third}).terms[J1] == third
 
 
 def test_order_sum_bases_round_trip():

@@ -1,6 +1,8 @@
 import itertools
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from baxter.congruence import congruence_class
 from baxter.insertion import (
@@ -17,6 +19,7 @@ from baxter.insertion import (
 )
 from baxter.perms import is_baxter, permutohedron_leq
 from baxter.trees import (
+    Node,
     canopy,
     is_decreasing,
     leaf_insert,
@@ -78,6 +81,11 @@ def test_is_twin_pair():
     assert is_twin_pair((None, None))
     left, _ = p_shape((1, 2, 3))
     assert not is_twin_pair((left, left))
+    one = Node(None, None)
+    assert is_twin_pair((one, one))
+    assert not is_twin_pair((one, None)) and not is_twin_pair((None, one))
+    _, right = p_shape((1, 2))
+    assert not is_twin_pair((one, right)) and not is_twin_pair((right, one))
 
 
 def test_every_shape_has_complementary_canopies():
@@ -163,3 +171,81 @@ def _labels(t):
 def test_pair_str_of_shape():
     assert pair_str(p_shape((1, 2))) == "[ (. (. .)) | ((. .) .) ]"
     assert pair_str(p_shape(())) == "[ . | . ]"
+
+
+def _step_labels(t):
+    """Relabel a tree of (letter, step) labels by step."""
+    if t is None:
+        return None
+    return type(t)(t.label[1], _step_labels(t.left), _step_labels(t.right))
+
+
+def folded_symbols(w):
+    """P- and Q-symbols of ``w`` by the single-step insertions.
+
+    The Q-symbol root-inserts (letter, step) labels: every earlier equal
+    letter compares smaller, so it goes left as ties do.
+    """
+    left = right = keyed = None
+    for step, a in enumerate(w, start=1):
+        left = leaf_insert(left, a, "left")
+        right = root_insert(right, a)
+        keyed = root_insert(keyed, (a, step))
+    return left, right, _step_labels(keyed)
+
+
+def test_symbols_match_single_step_insertions_exhaustively():
+    words = itertools.chain.from_iterable(
+        itertools.product(range(1, 5), repeat=length) for length in range(8))
+    perms = itertools.chain.from_iterable(all_perms(n) for n in range(8))
+    for w in itertools.chain(words, perms):
+        assert (*p_symbol(w), q_symbol(w)) == folded_symbols(w), w
+
+
+@st.composite
+def long_words(draw):
+    """Words of length up to 300 over an alphabet no larger, so letters
+    repeat."""
+    n = draw(st.integers(0, 300))
+    k = draw(st.integers(1, max(1, n)))
+    return draw(st.lists(st.integers(1, k), min_size=n, max_size=n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(long_words())
+def test_symbols_match_single_step_insertions_on_long_words(w):
+    got = (*p_symbol(w), q_symbol(w))
+    assert list(map(ltree_str, got)) == list(map(ltree_str, folded_symbols(w)))
+
+
+def _right_comb(labels):
+    return "".join(f"({a} . " for a in labels) + "." + ")" * len(labels)
+
+
+def _left_comb(labels):
+    return "".join(f"({a} " for a in labels) + "." + " .)" * len(labels)
+
+
+def test_deep_words_need_no_raised_recursion_limit():
+    n = 3000
+    up = tuple(range(1, n + 1))
+    down = up[::-1]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # CPython's default
+    try:
+        left, right = p_symbol(up)
+        assert ltree_str(left) == _right_comb(up)
+        assert ltree_str(right) == _left_comb(down)
+        assert ltree_str(q_symbol(up)) == _left_comb(down)
+        pair = p_shape(up)
+        assert (canopy(pair[0]), canopy(pair[1])) == ("1" * (n - 1), "0" * (n - 1))
+
+        left, right = p_symbol(down)
+        assert ltree_str(left) == _left_comb(down)
+        assert ltree_str(right) == _right_comb(up)
+        assert ltree_str(q_symbol(down)) == _right_comb(down)
+        pair = p_shape(down)
+        assert (canopy(pair[0]), canopy(pair[1])) == ("0" * (n - 1), "1" * (n - 1))
+        assert pair_str(pair).count("(") == 2 * n
+    finally:
+        sys.setrecursionlimit(limit)

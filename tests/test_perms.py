@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from baxter.perms import (
+    _is_baxter_scan,
     check_permutation,
     co_inversions,
     inverse,
@@ -91,6 +92,17 @@ def test_is_baxter_small_cases():
 def test_baxter_counts_up_to_five():
     counts = [sum(1 for p in all_perms(n) if is_baxter(p)) for n in range(6)]
     assert counts == [1, 1, 2, 6, 22, 92]
+
+
+def test_is_baxter_matches_the_pattern_scan():
+    for n in range(8):
+        for p in all_perms(n):
+            assert is_baxter(p) == _is_baxter_scan(p), p
+
+
+def test_baxter_counts_match_oeis_a001181():
+    counts = [sum(1 for p in all_perms(n) if is_baxter(p)) for n in range(1, 9)]
+    assert counts == [1, 2, 6, 22, 92, 422, 2074, 10754]
 
 
 def test_baxter_is_closed_under_inverse_and_reverse():
