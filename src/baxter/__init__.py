@@ -17,7 +17,6 @@ from .insertion import (
     p_shape,
     p_symbol,
     q_symbol,
-    shape,
 )
 from .lattice import (
     baxter_covers,

@@ -36,7 +36,6 @@ from .trees import (
     pair_str,
     parse_pair,
     tree_str,
-    unlabel,
 )
 from .words import is_permutation, parse_word, word_str
 
@@ -60,7 +59,7 @@ def cmd_insert(args):
     u = parse_word(args.word)
     left, right = p_symbol(u)
     q = q_symbol(u)
-    shape = (unlabel(left), unlabel(right))
+    shape = p_shape(u)
     payload = {
         "word": word_str(u),
         "left_tree": ltree_str(left),

@@ -227,74 +227,67 @@ def f_product(x: Element, y: Element) -> Element:
     return element_product(x, y)
 
 
-def f_coproduct(x: Element) -> Element:
-    """Coproduct in the F basis: deconcatenate and standardize each part."""
-    if x.basis != "F":
-        raise ValueError("f_coproduct needs an F-basis element")
+def _deconcatenate(x: Element, cuts) -> Element:
+    """Split each term ``s`` of ``x`` at every ``i`` in ``cuts(s)`` and
+    standardize both parts."""
     acc = []
     for s, c in x.terms.items():
-        for i in range(len(s) + 1):
+        for i in cuts(s):
             acc.append(((standardize(s[:i]), standardize(s[i:])), c))
     return Element(("F", "F"), acc)
 
 
-def f_prec(x: Element, y: Element) -> Element:
-    """Half product keeping the last letter on the left factor's side."""
+def _after_max(s) -> int:
+    """The cut just after the largest letter (0 for the empty word)."""
+    return s.index(len(s)) + 1 if s else 0
+
+
+def f_coproduct(x: Element) -> Element:
+    """Coproduct in the F basis: deconcatenate and standardize each part."""
+    if x.basis != "F":
+        raise ValueError("f_coproduct needs an F-basis element")
+    return _deconcatenate(x, lambda s: range(len(s) + 1))
+
+
+def _half_product(x: Element, y: Element, last) -> Element:
+    """The terms of each shifted shuffle of ``s`` and ``t`` that end in
+    the letter ``last(s, t)``; none when that is None."""
     if x.basis != "F" or y.basis != "F":
         raise ValueError("dendriform operations need F-basis elements")
     acc = []
     for s, c in x.terms.items():
-        if not s:
-            continue
         for t, d in y.terms.items():
+            end = last(s, t)
+            if end is None:
+                continue
             for p in shifted_shuffle(s, t):
-                if p[-1] == s[-1]:
+                if p[-1] == end:
                     acc.append((p, c * d))
     return Element("F", acc)
+
+
+def f_prec(x: Element, y: Element) -> Element:
+    """Half product keeping the last letter on the left factor's side."""
+    return _half_product(x, y, lambda s, t: s[-1] if s else None)
 
 
 def f_succ(x: Element, y: Element) -> Element:
     """Half product keeping the last letter on the right factor's side."""
-    if x.basis != "F" or y.basis != "F":
-        raise ValueError("dendriform operations need F-basis elements")
-    acc = []
-    for s, c in x.terms.items():
-        for t, d in y.terms.items():
-            if not t:
-                continue
-            last = t[-1] + len(s)
-            for p in shifted_shuffle(s, t):
-                if p[-1] == last:
-                    acc.append((p, c * d))
-    return Element("F", acc)
+    return _half_product(x, y, lambda s, t: t[-1] + len(s) if t else None)
 
 
 def f_coproduct_left(x: Element) -> Element:
     """Half coproduct: proper splits keeping the maximal letter left."""
     if x.basis != "F":
         raise ValueError("dendriform operations need F-basis elements")
-    acc = []
-    for s, c in x.terms.items():
-        if not s:
-            continue
-        pos_max = s.index(len(s)) + 1
-        for i in range(pos_max, len(s)):
-            acc.append(((standardize(s[:i]), standardize(s[i:])), c))
-    return Element(("F", "F"), acc)
+    return _deconcatenate(x, lambda s: range(_after_max(s), len(s)))
 
 
 def f_coproduct_right(x: Element) -> Element:
     """Half coproduct: proper splits keeping the maximal letter right."""
     if x.basis != "F":
         raise ValueError("dendriform operations need F-basis elements")
-    acc = []
-    for s, c in x.terms.items():
-        if not s:
-            continue
-        pos_max = s.index(len(s)) + 1
-        for i in range(1, pos_max):
-            acc.append(((standardize(s[:i]), standardize(s[i:])), c))
-    return Element(("F", "F"), acc)
+    return _deconcatenate(x, lambda s: range(1, _after_max(s)))
 
 
 # ---------------------------------------------------------------------------
@@ -642,16 +635,10 @@ def _totally_primitive_cached(n: int):
     rows = {}
     entries = {}
     for col, j in enumerate(pairs):
-        for s in class_of_pair(j):
-            pos_max = s.index(n) + 1
-            for side, split_range in (
-                ("G", range(pos_max, n)),
-                ("D", range(1, pos_max)),
-            ):
-                for i in split_range:
-                    key = (side, standardize(s[:i]), standardize(s[i:]))
-                    row = rows.setdefault(key, len(rows))
-                    entries[(row, col)] = entries.get((row, col), Fraction(0)) + 1
+        f = p_to_f(j)
+        for side, half in (("G", f_coproduct_left), ("D", f_coproduct_right)):
+            for key, c in half(f).terms.items():
+                entries[(rows.setdefault((side, key), len(rows)), col)] = c
     matrix = RationalMatrix(len(rows), len(pairs), entries)
     return tuple(
         Element("P", {pairs[i]: v for i, v in enumerate(vec) if v})

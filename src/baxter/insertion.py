@@ -9,7 +9,9 @@ unlabeled P-symbol shapes of permutations are exactly the twin pairs:
 equal size, complementary canopies.
 
 A twin pair here is a plain ``(left_shape, right_shape)`` tuple of
-unlabeled trees.
+unlabeled trees.  :func:`p_shape` builds it from the same insertion
+arrays as :func:`p_symbol`, without labeling and then unlabeling a
+second copy.
 """
 
 from __future__ import annotations
@@ -18,15 +20,7 @@ from functools import lru_cache
 
 from .errors import InternalInvariantError
 from .perms import check_permutation, is_baxter
-from .trees import (
-    LNode,
-    canopies_complementary,
-    canopy,
-    infix_labeling,
-    pair_str,
-    size,
-    unlabel,
-)
+from .trees import LNode, Node, canopies_complementary, canopy, pair_str
 from .words import check_word
 
 
@@ -66,13 +60,29 @@ def _leaf_insertion(w, steps):
 
 
 def _freeze(steps, children, labels):
-    """Build the ``LNode`` tree from child arrays, children before parents
-    (a child is always inserted after its parent)."""
+    """Build the tree from child arrays, children before parents (a child
+    is always inserted after its parent): ``LNode``s labeled by
+    ``labels``, or unlabeled ``Node``s when ``labels`` is None."""
     left, right = children
     built = [None] * (len(left) + 1)
-    for i in reversed(steps):
-        built[i] = LNode(labels[i], built[left[i]], built[right[i]])
+    if labels is None:
+        for i in reversed(steps):
+            built[i] = Node(built[left[i]], built[right[i]])
+    else:
+        for i in reversed(steps):
+            built[i] = LNode(labels[i], built[left[i]], built[right[i]])
     return built[steps[0]] if steps else None
+
+
+def _twin_trees(w, labels):
+    """Leaf insertion of the checked word ``w`` left to right, and right
+    to left (which equals root insertion left to right)."""
+    forward = range(len(w))
+    backward = forward[::-1]
+    return (
+        _freeze(forward, _leaf_insertion(w, forward), labels),
+        _freeze(backward, _leaf_insertion(w, backward), labels),
+    )
 
 
 def p_symbol(u):
@@ -92,11 +102,7 @@ def p_symbol(u):
     ('(2 (1 . .) (3 . .))', '(1 . (3 (2 . .) .))')
     """
     w = check_word(u)
-    forward = range(len(w))
-    left = _freeze(forward, _leaf_insertion(w, forward), w)
-    backward = forward[::-1]
-    right = _freeze(backward, _leaf_insertion(w, backward), w)
-    return (left, right)
+    return _twin_trees(w, w)
 
 
 def q_symbol(u):
@@ -128,10 +134,11 @@ def is_twin_pair(pair) -> bool:
     return canopies_complementary(canopy(left), canopy(right))
 
 
-def shape(labeled_pair):
-    """Unlabeled shape of a P-symbol, checked to be a twin pair."""
-    left, right = labeled_pair
-    out = (unlabel(left), unlabel(right))
+@lru_cache(maxsize=None)
+def p_shape(u):
+    """Unlabeled shape of the P-symbol of ``u`` (cached), checked to be a
+    twin pair; from the same insertion passes as :func:`p_symbol`."""
+    out = _twin_trees(check_word(u), None)
     if not is_twin_pair(out):
         raise InternalInvariantError(
             f"insertion produced non-complementary canopies: {pair_str(out)}"
@@ -139,28 +146,37 @@ def shape(labeled_pair):
     return out
 
 
-@lru_cache(maxsize=None)
-def p_shape(u):
-    """Unlabeled shape of the P-symbol of ``u`` (cached)."""
-    return shape(p_symbol(u))
-
-
-def _edges(lt):
-    out = []
-
-    def walk(node):
-        for child in (node.left, node.right):
-            if child is not None:
-                out.append((node.label, child.label))
-                walk(child)
-
-    if lt is not None:
-        walk(lt)
-    return out
+def _infix_edges(t):
+    """Node count and (parent, child) edges of ``t``, its nodes numbered
+    1..n in infix order.  Iterative, so trees of any depth work."""
+    edges = []
+    spine = []  # [node, parent's number if a right child else 0, left child's]
+    node, parent, n = t, 0, 0
+    while True:
+        while node is not None:
+            spine.append([node, parent, 0])
+            node, parent = node.left, 0
+        if not spine:
+            return n, edges
+        node, parent, left = spine.pop()
+        n += 1
+        if left:
+            edges.append((n, left))
+        if parent:
+            edges.append((parent, n))
+        elif spine:  # a left child, pushed right above its parent
+            spine[-1][2] = n
+        node, parent = node.right, n
 
 
 def _linear_extensions(n, preds):
-    """All orderings of 1..n in which each value follows its ``preds``."""
+    """All orderings of 1..n in which each value follows its ``preds``.
+
+    Backtracks with an explicit stack, so long chains need no deep
+    recursion.
+    """
+    if n == 0:
+        return [()]
     succs = {v: [] for v in range(1, n + 1)}
     indeg = {v: 0 for v in range(1, n + 1)}
     for v, ps in preds.items():
@@ -170,29 +186,29 @@ def _linear_extensions(n, preds):
     avail = {v for v in range(1, n + 1) if indeg[v] == 0}
     prefix = []
     out = []
-
-    def backtrack():
+    tries = [sorted(avail, reverse=True)]  # per depth: values left, next last
+    while tries:
+        if len(prefix) == len(tries):  # undo this depth's last choice
+            v = prefix.pop()
+            for w in succs[v]:
+                if indeg[w] == 0:  # v was the last predecessor placed
+                    avail.discard(w)
+                indeg[w] += 1
+            avail.add(v)
+        if not tries[-1]:
+            tries.pop()
+            continue
+        v = tries[-1].pop()
+        avail.discard(v)
+        prefix.append(v)
+        for w in succs[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                avail.add(w)
         if len(prefix) == n:
             out.append(tuple(prefix))
-            return
-        for v in sorted(avail):
-            avail.discard(v)
-            prefix.append(v)
-            opened = []
-            for w in succs[v]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    avail.add(w)
-                    opened.append(w)
-            backtrack()
-            for w in opened:
-                avail.discard(w)
-            for w in succs[v]:
-                indeg[w] += 1
-            prefix.pop()
-            avail.add(v)
-
-    backtrack()
+        else:
+            tries.append(sorted(avail, reverse=True))
     return out
 
 
@@ -209,11 +225,11 @@ def class_of_pair(pair) -> frozenset:
     """
     if not is_twin_pair(pair):
         raise ValueError(f"not a twin pair: {pair_str(pair)}")
-    n = size(pair[0])
+    n, left_edges = _infix_edges(pair[0])
     preds = {v: set() for v in range(1, n + 1)}
-    for parent, child in _edges(infix_labeling(pair[0])):
+    for parent, child in left_edges:
         preds[child].add(parent)  # left tree: ancestors first
-    for parent, child in _edges(infix_labeling(pair[1])):
+    for parent, child in _infix_edges(pair[1])[1]:
         preds[parent].add(child)  # right tree: ancestors last
     return frozenset(_linear_extensions(n, preds))
 
@@ -221,9 +237,9 @@ def class_of_pair(pair) -> frozenset:
 @lru_cache(maxsize=None)
 def sylvester_class_of_tree(t) -> frozenset:
     """All permutations whose root-insertion (right BST) shape is ``t``."""
-    n = size(t)
+    n, edges = _infix_edges(t)
     preds = {v: set() for v in range(1, n + 1)}
-    for parent, child in _edges(infix_labeling(t)):
+    for parent, child in edges:
         preds[parent].add(child)
     return frozenset(_linear_extensions(n, preds))
 

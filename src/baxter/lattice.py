@@ -64,9 +64,9 @@ def baxter_leq(j0, j1) -> bool:
     >>> baxter_leq(j12, j21), baxter_leq(j21, j12)
     (True, False)
     """
-    if size(j0[0]) != size(j1[0]):
-        raise ValueError("sizes differ")
     v0l, v1l = tamari_vector(j0[0]), tamari_vector(j1[0])
+    if len(v0l) != len(v1l):
+        raise ValueError("sizes differ")
     v0r, v1r = tamari_vector(j0[1]), tamari_vector(j1[1])
     return all(a >= b for a, b in zip(v0l, v1l)) and all(
         a <= b for a, b in zip(v0r, v1r)
@@ -94,32 +94,24 @@ def baxter_covers(j) -> frozenset:
     n = size(tl)
     if n < 2:
         return frozenset()
-    cl, cr = canopy(tl), canopy(tr)
     covers = set()
-    changing_left = {}
-    for i in range(1, n + 1):
-        try:
-            rotated = left_rotate(tl, i)
-        except ValueError:
-            continue
-        c2 = canopy(rotated)
-        if c2 == cl:
-            covers.add(PairCover((rotated, tr), "left-only"))
-        else:
-            changing_left[_diff_bit(cl, c2)] = rotated
-    changing_right = {}
-    for i in range(1, n + 1):
-        try:
-            rotated = right_rotate(tr, i)
-        except ValueError:
-            continue
-        c2 = canopy(rotated)
-        if c2 == cr:
-            covers.add(PairCover((tl, rotated), "right-only"))
-        else:
-            changing_right[_diff_bit(cr, c2)] = rotated
-    for bit, new_left in changing_left.items():
-        new_right = changing_right.get(bit)
+    sides = ((tl, left_rotate, "left-only"), (tr, right_rotate, "right-only"))
+    changing = ({}, {})  # per side: canopy bit -> the tree rotated there
+    for side, (tree, rotate, case) in enumerate(sides):
+        c = canopy(tree)
+        for i in range(1, n + 1):
+            try:
+                rotated = rotate(tree, i)
+            except ValueError:
+                continue
+            c2 = canopy(rotated)
+            if c2 == c:
+                target = (rotated, tr) if side == 0 else (tl, rotated)
+                covers.add(PairCover(target, case))
+            else:
+                changing[side][_diff_bit(c, c2)] = rotated
+    for bit, new_left in changing[0].items():
+        new_right = changing[1].get(bit)
         if new_right is not None:
             covers.add(PairCover((new_left, new_right), "simultaneous"))
     return frozenset(covers)

@@ -82,7 +82,7 @@ def permutohedron_covers(sigma) -> set:
     return out
 
 
-def _transitive_closure(pairs, n):
+def _transitive_closure(pairs):
     """Close a co-inversion set: (i,j) and (j,k) present force (i,k)."""
     closed = set(pairs)
     changed = True
@@ -125,7 +125,7 @@ def weak_order_join(sigma, nu) -> tuple:
     if len(s) != len(t):
         raise ValueError("sizes differ")
     n = len(s)
-    pairs = _transitive_closure(co_inversions(s) | co_inversions(t), n)
+    pairs = _transitive_closure(co_inversions(s) | co_inversions(t))
     result = _from_co_inversions(n, pairs)
     if co_inversions(result) != frozenset(pairs):
         raise RuntimeError("closed co-inversion set is not realizable")

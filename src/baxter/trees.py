@@ -245,18 +245,6 @@ def graft_under(t0, t1):
     return Node(t0.left, graft_under(t0.right, t1))
 
 
-def _node_at(t, i):
-    """Subtree rooted at infix index i (1-based)."""
-    if t is None:
-        raise ValueError(f"infix index {i} out of range")
-    k = size(t.left) + 1
-    if i == k:
-        return t
-    if i < k:
-        return _node_at(t.left, i)
-    return _node_at(t.right, i - k)
-
-
 def right_rotate(t, i):
     """Right rotation whose pivot is the node at infix index ``i``.
 
@@ -346,28 +334,29 @@ def canopies_complementary(c0: str, c1: str) -> bool:
 def tamari_vector(t) -> tuple:
     """For each node (infix order), the smallest infix index in its subtree.
 
-    Componentwise comparison of these vectors is the rotation order:
-    right rotations increase the vector.
+    One iterative infix walk: a node's entry is 1 + the number of nodes
+    emitted before its subtree, and a left child's subtree starts where
+    its parent's does.  Componentwise comparison of these vectors is the
+    rotation order: right rotations increase the vector.
 
     >>> tamari_vector(parse_tree("(((. .) .) .)"))
     (1, 1, 1)
     >>> tamari_vector(parse_tree("(. (. (. .)))"))
     (1, 2, 3)
     """
-    if t is None:
-        return ()
-    out = [0] * size(t)
-
-    def walk(node, offset):
-        if node is None:
-            return 0
-        nl = walk(node.left, offset)
-        out[offset + nl] = offset + 1
-        nr = walk(node.right, offset + nl + 1)
-        return nl + 1 + nr
-
-    walk(t, 0)
-    return tuple(out)
+    out = []
+    spine = []  # (node, its entry), deepest last
+    node = t
+    while True:
+        first = len(out) + 1
+        while node is not None:
+            spine.append((node, first))
+            node = node.left
+        if not spine:
+            return tuple(out)
+        node, first = spine.pop()
+        out.append(first)
+        node = node.right
 
 
 def tamari_leq(t0, t1) -> bool:
@@ -376,9 +365,10 @@ def tamari_leq(t0, t1) -> bool:
     >>> tamari_leq(parse_tree("((. .) (. .))"), parse_tree("((. (. .)) .)"))
     False
     """
-    if size(t0) != size(t1):
+    v0, v1 = tamari_vector(t0), tamari_vector(t1)
+    if len(v0) != len(v1):
         raise ValueError("sizes differ")
-    return all(a <= b for a, b in zip(tamari_vector(t0), tamari_vector(t1)))
+    return all(a <= b for a, b in zip(v0, v1))
 
 
 # ---------------------------------------------------------------------------

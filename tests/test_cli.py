@@ -52,6 +52,19 @@ def test_insert_deep_word_at_the_default_recursion_limit(order):
     assert payload["left_canopy"] == bit * 1498
 
 
+def test_class_of_deep_permutation_at_the_default_recursion_limit():
+    word = " ".join(map(str, range(1, 1500)))
+    src = os.path.dirname(os.path.dirname(baxter.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "baxter.cli", "class", word],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["class"] == [word]
+
+
 def test_class_of_permutation(capsys):
     code, out, _ = run_cli(capsys, "class", "5273641")
     assert code == 0
@@ -169,6 +182,21 @@ def test_lattice_dot(capsys):
     assert code == 0
     assert out.startswith("digraph")
     assert "->" in out
+
+
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+
+
+@pytest.mark.parametrize("flags, golden", [
+    ((), "lattice_4.json"),
+    (("--dot",), "lattice_4.dot"),
+], ids=["json", "dot"])
+def test_lattice_output_is_byte_exact(capsys, flags, golden):
+    # every cover case (left-only, right-only, simultaneous) occurs at n = 4
+    code, out, _ = run_cli(capsys, "lattice", "4", *flags)
+    assert code == 0
+    with open(os.path.join(GOLDEN_DIR, golden), encoding="utf-8") as fh:
+        assert out == fh.read()
 
 
 def test_dims_rows(capsys):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from baxter.congruence import congruence_class
 from baxter.insertion import (
+    _infix_edges,
     baxter_representative,
     class_of_pair,
     is_twin_pair,
@@ -14,13 +15,14 @@ from baxter.insertion import (
     p_shape,
     p_symbol,
     q_symbol,
-    shape,
     sylvester_class_of_tree,
 )
 from baxter.perms import is_baxter, permutohedron_leq
 from baxter.trees import (
     Node,
+    all_trees,
     canopy,
+    infix_labeling,
     is_decreasing,
     leaf_insert,
     ltree_str,
@@ -51,7 +53,7 @@ def test_q_symbol_of_worked_word():
 
 
 def test_shape_drops_labels():
-    left, right = shape(p_symbol(WORKED_WORD))
+    left, right = map(unlabel, p_symbol(WORKED_WORD))
     assert tree_str(left) == "(((. (. .)) (. (. .))) (. .))"
     assert tree_str(right) == "(((. .) ((. .) .)) ((. .) .))"
     assert (left, right) == p_shape(WORKED_WORD)
@@ -199,7 +201,10 @@ def test_symbols_match_single_step_insertions_exhaustively():
         itertools.product(range(1, 5), repeat=length) for length in range(8))
     perms = itertools.chain.from_iterable(all_perms(n) for n in range(8))
     for w in itertools.chain(words, perms):
-        assert (*p_symbol(w), q_symbol(w)) == folded_symbols(w), w
+        left, right, q = folded_symbols(w)
+        assert (*p_symbol(w), q_symbol(w)) == (left, right, q), w
+        # the uncached function, so the cache does not keep every word
+        assert p_shape.__wrapped__(w) == (unlabel(left), unlabel(right)), w
 
 
 @st.composite
@@ -215,7 +220,10 @@ def long_words(draw):
 @given(long_words())
 def test_symbols_match_single_step_insertions_on_long_words(w):
     got = (*p_symbol(w), q_symbol(w))
-    assert list(map(ltree_str, got)) == list(map(ltree_str, folded_symbols(w)))
+    folded = folded_symbols(w)
+    assert list(map(ltree_str, got)) == list(map(ltree_str, folded))
+    shape = p_shape.__wrapped__(w)
+    assert list(map(tree_str, shape)) == [tree_str(unlabel(t)) for t in folded[:2]]
 
 
 def _right_comb(labels):
@@ -239,6 +247,8 @@ def test_deep_words_need_no_raised_recursion_limit():
         assert ltree_str(q_symbol(up)) == _left_comb(down)
         pair = p_shape(up)
         assert (canopy(pair[0]), canopy(pair[1])) == ("1" * (n - 1), "0" * (n - 1))
+        assert class_of_pair(pair) == frozenset({up})
+        assert sylvester_class_of_tree(pair[1]) == frozenset({up})
 
         left, right = p_symbol(down)
         assert ltree_str(left) == _left_comb(down)
@@ -247,5 +257,22 @@ def test_deep_words_need_no_raised_recursion_limit():
         pair = p_shape(down)
         assert (canopy(pair[0]), canopy(pair[1])) == ("0" * (n - 1), "1" * (n - 1))
         assert pair_str(pair).count("(") == 2 * n
+        assert class_of_pair(pair) == frozenset({down})
     finally:
         sys.setrecursionlimit(limit)
+
+
+def _labeled_edges(t):
+    """(parent, child) label pairs of a labeled tree, by recursion."""
+    if t is None:
+        return []
+    out = [(t.label, c.label) for c in (t.left, t.right) if c is not None]
+    return out + _labeled_edges(t.left) + _labeled_edges(t.right)
+
+
+def test_infix_edges_match_the_infix_labeling():
+    for n in range(9):
+        for t in all_trees(n):
+            count, edges = _infix_edges(t)
+            assert count == n
+            assert sorted(edges) == sorted(_labeled_edges(infix_labeling(t)))

@@ -1,5 +1,7 @@
 import itertools
 
+import pytest
+
 from baxter.insertion import min_perm, p_shape
 from baxter.lattice import (
     PairCover,
@@ -42,6 +44,13 @@ def test_leq_examples():
     assert baxter_leq(j12, j21)
     assert not baxter_leq(j21, j12)
     assert baxter_leq(j12, j12)
+
+
+def test_leq_rejects_pairs_of_different_sizes():
+    with pytest.raises(ValueError, match="sizes differ"):
+        baxter_leq(p_shape((1, 2)), p_shape((1, 2, 3)))
+    with pytest.raises(ValueError, match="sizes differ"):
+        baxter_leq(p_shape(()), p_shape((1,)))
 
 
 def test_order_transports_the_weak_order():

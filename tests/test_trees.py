@@ -166,6 +166,13 @@ def test_tamari_vector_bounds():
     assert not tamari_leq(right_comb, left_comb)
 
 
+def test_tamari_leq_rejects_trees_of_different_sizes():
+    with pytest.raises(ValueError, match="sizes differ"):
+        tamari_leq(parse_tree("(. .)"), parse_tree("((. .) .)"))
+    with pytest.raises(ValueError, match="sizes differ"):
+        tamari_leq(None, parse_tree("(. .)"))
+
+
 def test_tamari_leq_matches_rotation_closure_small():
     for n in range(1, 6):
         ts = all_trees(n)
