@@ -33,7 +33,7 @@ from .insertion import (
     p_shape,
     sylvester_class_of_tree,
 )
-from .lattice import baxter_leq, enumerate_tbt
+from .lattice import enumerate_tbt, order_cones
 from .perms import check_permutation, inverse as perm_inverse, is_connected
 from .trees import (
     canopy,
@@ -391,11 +391,7 @@ def order_sum_tables(basis: str, n: int):
     if basis not in ("E", "H"):
         raise ValueError(f"not an order-sum basis: {basis!r}")
     pairs = _pairs_sorted(n)
-    upper = basis == "E"
-    cone = {
-        j: [j2 for j2 in pairs if (baxter_leq(j, j2) if upper else baxter_leq(j2, j))]
-        for j in pairs
-    }
+    cone = order_cones(pairs, basis == "E")
     forward = {j: Element("P", {j2: 1 for j2 in cone[j]}) for j in pairs}
     inverse = {}
 

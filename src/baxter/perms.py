@@ -5,15 +5,16 @@ sets: ``(i, j)`` with ``i < j`` is a co-inversion of ``sigma`` when the
 value ``j`` appears before the value ``i``.  Covers swap an adjacent
 ascent; the order is co-inversion-set inclusion; joins close the union
 of co-inversion sets under transitivity and meets are joins of value
-complements.
+complements.  The order and joins run on one bit-mask row of
+co-inversions per value: a join closes the rows in one pass and
+rebuilds the permutation by popcount, in O(n^2) int operations and with
+no sets.
 
 Also here: the Baxter vincular-pattern test, the two size-graded
 concatenations, and connectedness (indecomposability).
 """
 
 from __future__ import annotations
-
-from functools import cmp_to_key
 
 from .words import is_permutation
 
@@ -54,6 +55,28 @@ def co_inversions(sigma) -> frozenset:
     )
 
 
+def _inversions_above(s) -> list:
+    """The co-inversion rows of the permutation ``s``: bit ``j - 1`` of
+    ``rows[i - 1]`` is set when ``i < j`` and ``j`` comes before ``i``.
+
+    >>> [bin(row) for row in _inversions_above((3, 1, 2))]
+    ['0b100', '0b100', '0b0']
+    """
+    rows = [0] * len(s)
+    seen = 0
+    for v in s:
+        rows[v - 1] = seen >> v << v
+        seen |= 1 << (v - 1)
+    return rows
+
+
+def _same_size(sigma, nu):
+    s, t = check_permutation(sigma), check_permutation(nu)
+    if len(s) != len(t):
+        raise ValueError("sizes differ")
+    return s, t
+
+
 def permutohedron_leq(sigma, nu) -> bool:
     """Right weak order: co-inversion-set inclusion.
 
@@ -62,10 +85,8 @@ def permutohedron_leq(sigma, nu) -> bool:
     >>> permutohedron_leq((2, 1, 3), (1, 3, 2))
     False
     """
-    s, t = check_permutation(sigma), check_permutation(nu)
-    if len(s) != len(t):
-        raise ValueError("sizes differ")
-    return co_inversions(s) <= co_inversions(t)
+    s, t = _same_size(sigma, nu)
+    return all(a & ~b == 0 for a, b in zip(_inversions_above(s), _inversions_above(t)))
 
 
 def permutohedron_covers(sigma) -> set:
@@ -82,54 +103,33 @@ def permutohedron_covers(sigma) -> set:
     return out
 
 
-def _transitive_closure(pairs):
-    """Close a co-inversion set: (i,j) and (j,k) present force (i,k)."""
-    closed = set(pairs)
-    changed = True
-    while changed:
-        changed = False
-        by_low = {}
-        for i, j in closed:
-            by_low.setdefault(i, set()).add(j)
-        for i, j in list(closed):
-            for k in by_low.get(j, ()):
-                if (i, k) not in closed:
-                    closed.add((i, k))
-                    changed = True
-    return closed
-
-
-def _from_co_inversions(n, pairs) -> tuple:
-    """The permutation whose co-inversion set is ``pairs`` (must exist)."""
-
-    def precedes(a, b):
-        if a == b:
-            return 0
-        i, j = min(a, b), max(a, b)
-        first = j if (i, j) in pairs else i
-        return -1 if a == first else 1
-
-    result = tuple(sorted(range(1, n + 1), key=cmp_to_key(precedes)))
-    return result
-
-
 def weak_order_join(sigma, nu) -> tuple:
     """Least upper bound in the right weak order.
 
     The join's co-inversion set is the transitive closure of the union.
+    The two permutations' rows are ORed, then closed in one pass from
+    the largest value ``v = n`` down: row ``v`` takes in the rows of the
+    values it holds, which are larger and so closed already.  Then ``v``
+    is inserted at index popcount(row ``v``) among the values above it,
+    since exactly those in its row come first.
 
     >>> weak_order_join((2, 1, 3), (2, 1, 3))
     (2, 1, 3)
     """
-    s, t = check_permutation(sigma), check_permutation(nu)
-    if len(s) != len(t):
-        raise ValueError("sizes differ")
-    n = len(s)
-    pairs = _transitive_closure(co_inversions(s) | co_inversions(t))
-    result = _from_co_inversions(n, pairs)
-    if co_inversions(result) != frozenset(pairs):
+    s, t = _same_size(sigma, nu)
+    rows = [a | b for a, b in zip(_inversions_above(s), _inversions_above(t))]
+    result = []
+    for i in range(len(rows) - 1, -1, -1):
+        row = bits = rows[i]
+        while bits:
+            low = bits & -bits
+            row |= rows[low.bit_length() - 1]
+            bits ^= low
+        rows[i] = row
+        result.insert(row.bit_count(), i + 1)
+    if _inversions_above(result) != rows:
         raise RuntimeError("closed co-inversion set is not realizable")
-    return result
+    return tuple(result)
 
 
 def weak_order_meet(sigma, nu) -> tuple:
@@ -138,11 +138,8 @@ def weak_order_meet(sigma, nu) -> tuple:
     >>> weak_order_meet((2, 1, 3), (1, 3, 2))
     (1, 2, 3)
     """
-    s, t = check_permutation(sigma), check_permutation(nu)
-    if len(s) != len(t):
-        raise ValueError("sizes differ")
-    n = len(s)
-    comp = lambda p: tuple(n + 1 - a for a in p)
+    s, t = _same_size(sigma, nu)
+    comp = lambda p: tuple(len(s) + 1 - a for a in p)
     return comp(weak_order_join(comp(s), comp(t)))
 
 

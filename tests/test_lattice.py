@@ -11,6 +11,7 @@ from baxter.lattice import (
     baxter_meet,
     enumerate_tbt,
     hasse_dot,
+    order_cones,
 )
 from baxter.perms import permutohedron_leq
 from baxter.trees import pair_str, parse_pair
@@ -51,6 +52,27 @@ def test_leq_rejects_pairs_of_different_sizes():
         baxter_leq(p_shape((1, 2)), p_shape((1, 2, 3)))
     with pytest.raises(ValueError, match="sizes differ"):
         baxter_leq(p_shape(()), p_shape((1,)))
+
+
+def test_meet_and_join_reject_pairs_of_different_sizes():
+    for op in (baxter_meet, baxter_join):
+        with pytest.raises(ValueError, match="sizes differ"):
+            op(p_shape((1, 2)), p_shape((1, 2, 3)))
+        with pytest.raises(ValueError, match="sizes differ"):
+            op(p_shape(()), p_shape((1,)))
+
+
+def test_order_cones_match_the_leq_sweeps():
+    for n in range(6):
+        pairs = sorted(enumerate_tbt(n), key=pair_str)
+        assert order_cones(pairs, True) == {
+            j: [j2 for j2 in pairs if baxter_leq(j, j2)] for j in pairs
+        }
+        assert order_cones(pairs, False) == {
+            j: [j2 for j2 in pairs if baxter_leq(j2, j)] for j in pairs
+        }
+    with pytest.raises(ValueError, match="sizes differ"):
+        order_cones([p_shape((1, 2)), p_shape((1, 2, 3))], True)
 
 
 def test_order_transports_the_weak_order():

@@ -1,6 +1,8 @@
 import itertools
+from functools import cmp_to_key
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from baxter.perms import (
     _is_baxter_scan,
@@ -20,6 +22,50 @@ from baxter.perms import (
 
 def all_perms(n):
     return [tuple(p) for p in itertools.permutations(range(1, n + 1))]
+
+
+def _transitive_closure(pairs):
+    """Close a co-inversion set: (i,j) and (j,k) present force (i,k)."""
+    closed = set(pairs)
+    changed = True
+    while changed:
+        changed = False
+        by_low = {}
+        for i, j in closed:
+            by_low.setdefault(i, set()).add(j)
+        for i, j in list(closed):
+            for k in by_low.get(j, ()):
+                if (i, k) not in closed:
+                    closed.add((i, k))
+                    changed = True
+    return closed
+
+
+def _from_co_inversions(n, pairs) -> tuple:
+    """The permutation whose co-inversion set is ``pairs`` (must exist)."""
+
+    def precedes(a, b):
+        if a == b:
+            return 0
+        i, j = min(a, b), max(a, b)
+        first = j if (i, j) in pairs else i
+        return -1 if a == first else 1
+
+    return tuple(sorted(range(1, n + 1), key=cmp_to_key(precedes)))
+
+
+def oracle_join(s, t):
+    """The weak-order join by closing the union of co-inversion sets."""
+    pairs = _transitive_closure(co_inversions(s) | co_inversions(t))
+    result = _from_co_inversions(len(s), pairs)
+    assert co_inversions(result) == pairs
+    return result
+
+
+def oracle_meet(s, t):
+    n = len(s)
+    comp = lambda p: tuple(n + 1 - a for a in p)
+    return comp(oracle_join(comp(s), comp(t)))
 
 
 def test_check_permutation_rejects_non_permutations():
@@ -47,8 +93,9 @@ def test_permutohedron_leq_is_co_inversion_containment():
     assert permutohedron_leq((1, 2, 3), (3, 2, 1))
     assert permutohedron_leq((2, 1, 3), (1, 3, 2)) is False
     assert permutohedron_leq((1, 3, 2), (2, 1, 3)) is False
-    for s, t in itertools.product(all_perms(3), repeat=2):
-        assert permutohedron_leq(s, t) == (co_inversions(s) <= co_inversions(t))
+    for n in range(6):
+        for s, t in itertools.product(all_perms(n), repeat=2):
+            assert permutohedron_leq(s, t) == (co_inversions(s) <= co_inversions(t))
 
 
 def test_permutohedron_covers_swap_one_ascent():
@@ -65,6 +112,36 @@ def test_weak_order_join_and_meet_examples():
     assert weak_order_join((2, 1, 3), (1, 3, 2)) == (3, 2, 1)
     assert weak_order_meet((2, 1, 3), (1, 3, 2)) == (1, 2, 3)
     assert weak_order_join((2, 1, 3), (2, 1, 3)) == (2, 1, 3)
+
+
+def test_weak_order_join_and_meet_match_the_closure_oracle():
+    for n in range(6):
+        for s, t in itertools.product(all_perms(n), repeat=2):
+            assert weak_order_join(s, t) == oracle_join(s, t), (s, t)
+            assert weak_order_meet(s, t) == oracle_meet(s, t), (s, t)
+
+
+@st.composite
+def perm_pairs(draw):
+    n = draw(st.integers(6, 12))
+    perm = st.permutations(range(1, n + 1)).map(tuple)
+    return draw(perm), draw(perm)
+
+
+@settings(max_examples=200, deadline=None)
+@given(perm_pairs())
+def test_weak_order_join_and_meet_match_the_closure_oracle_on_larger_pairs(pair):
+    s, t = pair
+    assert weak_order_join(s, t) == oracle_join(s, t)
+    assert weak_order_meet(s, t) == oracle_meet(s, t)
+
+
+def test_weak_order_rejects_bad_input():
+    for op in (permutohedron_leq, weak_order_join, weak_order_meet):
+        with pytest.raises(ValueError, match="sizes differ"):
+            op((1, 2), (1, 2, 3))
+        with pytest.raises(ValueError, match="not a permutation"):
+            op((1, 1), (1, 2))
 
 
 def test_weak_order_bounds_are_exact():
