@@ -20,7 +20,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 
 from . import config
 from .errors import InternalInvariantError, NotInSubalgebraError
@@ -33,7 +34,7 @@ from .insertion import (
     p_shape,
     sylvester_class_of_tree,
 )
-from .lattice import enumerate_tbt, order_cones
+from .lattice import baxter_covers, enumerate_tbt
 from .perms import check_permutation, inverse as perm_inverse, is_connected
 from .trees import (
     canopy,
@@ -42,6 +43,7 @@ from .trees import (
     graft_under,
     pair_str,
     size as tree_size,
+    tamari_vector,
     tree_str,
     trees_by_canopy,
 )
@@ -386,28 +388,49 @@ def order_sum_tables(basis: str, n: int):
     ``basis`` is ``"E"``, which sums P over upper sets of the lattice, or
     ``"H"``, which sums over lower sets.  Returns ``(forward, inverse)``:
     ``forward[j]`` expands the ``basis`` element at ``j`` in P, and
-    ``inverse[j]`` expands P at ``j`` in ``basis`` by Moebius inversion.
+    ``inverse[j]`` expands P at ``j`` in ``basis``.
+
+    Both come from the covers: E edges run up them, H edges down.  A cone
+    is a bit set over :func:`_pairs_sorted`, its own bit ORed with the
+    cones at its edge ends.  By Rota's crosscut rule, ``inverse[j]`` sums
+    ``(-1)**len(S)`` times the element at the pair whose cone is the AND
+    of the cones in ``S`` (the join of ``S``, or meet for H), over the
+    sets ``S`` of edge ends of ``j``.
     """
     if basis not in ("E", "H"):
         raise ValueError(f"not an order-sum basis: {basis!r}")
     pairs = _pairs_sorted(n)
-    cone = order_cones(pairs, basis == "E")
-    forward = {j: Element("P", {j2: 1 for j2 in cone[j]}) for j in pairs}
-    inverse = {}
-
-    def expand(j):
-        if j not in inverse:
-            terms = {j: Fraction(1)}
-            for j2 in cone[j]:
-                if j2 != j:
-                    for k, c in expand(j2).terms.items():
-                        terms[k] = terms.get(k, 0) - c
-            inverse[j] = Element(basis, terms)
-        return inverse[j]
-
-    for j in pairs:
-        expand(j)
+    index = {j: i for i, j in enumerate(pairs)}
+    up = [(i, index[c.target]) for i, j in enumerate(pairs) for c in baxter_covers(j)]
+    edges = [[] for _ in pairs]
+    for a, b in up if basis == "E" else [(b, a) for a, b in up]:
+        edges[a].append(b)
+    # Covers rotate the left tree left and the right tree right, so this
+    # height grows along every cover; a cone's edge ends come first.
+    height = [sum(tamari_vector(j[1])) - sum(tamari_vector(j[0])) for j in pairs]
+    cones = [0] * len(pairs)
+    for i in sorted(range(len(pairs)), key=height.__getitem__, reverse=basis == "E"):
+        cones[i] = reduce(or_, [cones[k] for k in edges[i]], 1 << i)
+    at_cone = {cone: pairs[i] for i, cone in enumerate(cones)}
+    forward, inverse = {}, {}
+    one = Fraction(1)
+    for i, j in enumerate(pairs):
+        forward[j] = Element("P", [(pairs[k], one) for k in _bits(cones[i])])
+        terms = [(cones[i], one)]
+        for k in edges[i]:
+            terms += [(cone & cones[k], -sign) for cone, sign in terms]
+        try:
+            inverse[j] = Element(basis, [(at_cone[cone], sign) for cone, sign in terms])
+        except KeyError:
+            raise InternalInvariantError(f"no cone for covers of {pair_str(j)}") from None
     return forward, inverse
+
+
+def _bits(mask):
+    """The positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        yield (mask & -mask).bit_length() - 1
+        mask &= mask - 1
 
 
 def e_from_p(n: int):
@@ -430,51 +453,40 @@ def p_from_h(n: int):
     return order_sum_tables("H", n)[1]
 
 
-def order_sum_product(basis: str, j0, j1) -> Element:
-    """Product of two E (or H) basis elements, computed honestly: expand
-    to P, multiply, and re-express in ``basis``."""
-    n0, n1 = tree_size(j0[0]), tree_size(j1[0])
-    config.check_product_degree(n0 + n1)
-    in_p = Element("P", [
-        (j, ca * cb * c)
-        for ja, ca in order_sum_tables(basis, n0)[0][j0].terms.items()
-        for jb, cb in order_sum_tables(basis, n1)[0][j1].terms.items()
-        for j, c in p_product(ja, jb).terms.items()
-    ])
-    inverse = order_sum_tables(basis, n0 + n1)[1]
-    return Element(basis, [
-        (k, c * d) for j, c in in_p.terms.items() for k, d in inverse[j].terms.items()
-    ])
-
-
 def e_product(j0, j1) -> Element:
-    """Product of two E basis elements, re-expressed in E."""
-    return order_sum_product("E", j0, j1)
+    """Product of two E basis elements: the single graft ``E[pair_over]``."""
+    config.check_product_degree(tree_size(j0[0]) + tree_size(j1[0]))
+    return Element("E", {pair_over(j0, j1): 1})
 
 
 def h_product(j0, j1) -> Element:
-    """Product of two H basis elements, re-expressed in H."""
-    return order_sum_product("H", j0, j1)
+    """Product of two H basis elements: the single graft ``H[pair_under]``."""
+    config.check_product_degree(tree_size(j0[0]) + tree_size(j1[0]))
+    return Element("H", {pair_under(j0, j1): 1})
 
 
 # ---------------------------------------------------------------------------
 # pair grafting and connected pairs
 
 
-def pair_over(j0, j1):
-    """Graft twin pairs: left trees under, right trees over."""
-    out = (graft_under(j0[0], j1[0]), graft_over(j0[1], j1[1]))
+def _graft_pairs(j0, j1, left, right):
+    for j in (j0, j1):
+        if not is_twin_pair(j):
+            raise ValueError(f"not a twin pair: {pair_str(j)}")
+    out = (left(j0[0], j1[0]), right(j0[1], j1[1]))
     if not is_twin_pair(out):
         raise InternalInvariantError("grafting twin pairs lost complementarity")
     return out
+
+
+def pair_over(j0, j1):
+    """Graft twin pairs: left trees under, right trees over."""
+    return _graft_pairs(j0, j1, graft_under, graft_over)
 
 
 def pair_under(j0, j1):
     """Graft twin pairs: left trees over, right trees under."""
-    out = (graft_over(j0[0], j1[0]), graft_under(j0[1], j1[1]))
-    if not is_twin_pair(out):
-        raise InternalInvariantError("grafting twin pairs lost complementarity")
-    return out
+    return _graft_pairs(j0, j1, graft_over, graft_under)
 
 
 @lru_cache(maxsize=None)
@@ -690,6 +702,8 @@ def series_check(nmax: int, tp_nmax=None) -> SeriesReport:
     kernel computation is the costly part, so it gets its own bound,
     defaulting to min(nmax, 5)).
     """
+    if nmax < 0:
+        raise ValueError("n must be nonnegative")
     config.check_enum_degree(nmax)
     if tp_nmax is None:
         tp_nmax = min(nmax, 5)

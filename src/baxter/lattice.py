@@ -5,7 +5,8 @@ compares rotation vectors contravariantly on the left tree and
 covariantly on the right tree.  It is the image of the right weak order
 under insertion: covers rotate one tree keeping its canopy, or both
 trees at the same canopy position.  Meets and joins project the weak
-order meet/join of class extremes.
+order meet/join of class extremes.  The order-sum tables of
+:mod:`baxter.hopf` are built from the covers alone.
 """
 
 from __future__ import annotations
@@ -58,15 +59,6 @@ def enumerate_tbt(n: int) -> frozenset:
     return frozenset(out)
 
 
-def _vectors(j):
-    return tamari_vector(j[0]), tamari_vector(j[1])
-
-
-def _vectors_leq(v0, v1) -> bool:
-    """The order on the (left, right) rotation vectors of two pairs."""
-    return all(map(ge, v0[0], v1[0])) and all(map(le, v0[1], v1[1]))
-
-
 def baxter_leq(j0, j1) -> bool:
     """Order on twin pairs: left vectors decrease, right vectors increase.
 
@@ -74,29 +66,11 @@ def baxter_leq(j0, j1) -> bool:
     >>> baxter_leq(j12, j21), baxter_leq(j21, j12)
     (True, False)
     """
-    v0, v1 = _vectors(j0), _vectors(j1)
-    if len(v0[0]) != len(v1[0]):
+    v0l, v1l = tamari_vector(j0[0]), tamari_vector(j1[0])
+    if len(v0l) != len(v1l):
         raise ValueError("sizes differ")
-    return _vectors_leq(v0, v1)
-
-
-def order_cones(pairs, upper: bool) -> dict:
-    """The cone of each pair within ``pairs``, which share one size.
-
-    ``cones[j]`` lists, in the order of ``pairs``, the ``j2`` with
-    ``j <= j2`` when ``upper`` holds, and with ``j2 <= j`` otherwise.
-    Each pair's rotation vectors are computed once.
-
-    >>> j12, j21 = p_shape((1, 2)), p_shape((2, 1))
-    >>> order_cones([j12, j21], True) == {j12: [j12, j21], j21: [j21]}
-    True
-    """
-    vectors = [(j, _vectors(j)) for j in pairs]
-    if len({len(v[0]) for _, v in vectors}) > 1:
-        raise ValueError("sizes differ")
-    if upper:
-        return {j: [j2 for j2, v2 in vectors if _vectors_leq(v, v2)] for j, v in vectors}
-    return {j: [j2 for j2, v2 in vectors if _vectors_leq(v2, v)] for j, v in vectors}
+    v0r, v1r = tamari_vector(j0[1]), tamari_vector(j1[1])
+    return all(map(ge, v0l, v1l)) and all(map(le, v0r, v1r))
 
 
 def _diff_bit(c0: str, c1: str) -> int:

@@ -31,12 +31,19 @@ LEAF = None
 
 
 def size(t) -> int:
-    """Number of internal nodes.
+    """Number of internal nodes, counted down the left spines.
 
     >>> size(Node(Node(None, None), None))
     2
     """
-    return 0 if t is None else 1 + size(t.left) + size(t.right)
+    n, todo = 0, [t]
+    while todo:
+        node = todo.pop()
+        while node is not None:
+            n += 1
+            todo.append(node.right)
+            node = node.left
+    return n
 
 
 # Marks on the stacks of the iterative walks: join the last two finished
@@ -158,33 +165,31 @@ class _Scanner:
             raise ParseError("trailing input", self.pos)
 
 
-def _parse_tree(sc: _Scanner):
-    ch = sc.peek()
-    if ch == ".":
+def _parse(sc: _Scanner, labeled):
+    # Iterative: each open node collects its label (if labeled) and its
+    # finished children; the node closes at its ")" once both are in.
+    full = 3 if labeled else 2
+    opened = []
+    while True:
+        ch = sc.peek()
+        if ch == "(":
+            sc.pos += 1
+            opened.append([sc.integer()] if labeled else [])
+            continue
+        if ch != ".":
+            raise ParseError("expected '(' or '.'", sc.pos)
         sc.pos += 1
-        return None
-    if ch != "(":
-        raise ParseError("expected '(' or '.'", sc.pos)
-    sc.pos += 1
-    left = _parse_tree(sc)
-    right = _parse_tree(sc)
-    sc.expect(")")
-    return Node(left, right)
-
-
-def _parse_ltree(sc: _Scanner):
-    ch = sc.peek()
-    if ch == ".":
-        sc.pos += 1
-        return None
-    if ch != "(":
-        raise ParseError("expected '(' or '.'", sc.pos)
-    sc.pos += 1
-    label = sc.integer()
-    left = _parse_ltree(sc)
-    right = _parse_ltree(sc)
-    sc.expect(")")
-    return LNode(label, left, right)
+        t = None
+        while opened:
+            parts = opened[-1]
+            parts.append(t)
+            if len(parts) < full:
+                break
+            opened.pop()
+            sc.expect(")")
+            t = LNode(*parts) if labeled else Node(*parts)
+        else:
+            return t
 
 
 def parse_tree(text: str):
@@ -194,7 +199,7 @@ def parse_tree(text: str):
     True
     """
     sc = _Scanner(text)
-    t = _parse_tree(sc)
+    t = _parse(sc, False)
     sc.done()
     return t
 
@@ -202,7 +207,7 @@ def parse_tree(text: str):
 def parse_labeled_tree(text: str):
     """Parse a labeled tree; inverse of :func:`ltree_str`."""
     sc = _Scanner(text)
-    t = _parse_ltree(sc)
+    t = _parse(sc, True)
     sc.done()
     return t
 
@@ -211,9 +216,9 @@ def parse_pair(text: str):
     """Parse ``[ T | T' ]``; inverse of :func:`pair_str`."""
     sc = _Scanner(text)
     sc.expect("[")
-    left = _parse_tree(sc)
+    left = _parse(sc, False)
     sc.expect("|")
-    right = _parse_tree(sc)
+    right = _parse(sc, False)
     sc.expect("]")
     sc.done()
     return (left, right)

@@ -889,6 +889,10 @@ def hopf_suite(max_n=5):
                         graft_ok = False
                     if hopf.h_product(j0, j1) != hopf.Element("H", {under: 1}):
                         graft_ok = False
+                    for table, graft in ((hopf.e_from_p, over), (hopf.h_from_p, under)):
+                        in_p = hopf.element_product(table(d0)[j0], table(d1)[j1])
+                        if in_p != table(d0 + d1)[graft]:
+                            graft_ok = False
     checks.append(_check(
         f"order-sum bases are multiplicative along grafting (total degree <= {deg})",
         graft_ok))
@@ -1101,6 +1105,8 @@ def run(names=("all",), max_n=5):
     """
     if isinstance(names, str):
         names = (names,)
+    if max_n < 0:
+        raise ValueError("max_n must be nonnegative")
     selected = list(SUITES) if "all" in names else list(names)
     for name in selected:
         if name not in SUITES:

@@ -16,8 +16,10 @@ from baxter.congruence import congruence_class
 from baxter.hopf import (
     baxter_numbers,
     connected_pairs,
+    e_from_p,
     e_product,
     element_product,
+    h_from_p,
     h_product,
     p_coproduct,
     p_element,
@@ -253,14 +255,19 @@ def test_criterion_09_hopf_closure():
 
 
 def test_criterion_10_order_sum_bases_multiply_by_grafting():
+    # e_product and h_product return the graft; the P-basis identity
+    # multiplies the order sums out and checks that the graft is right.
     for a in range(7):
         for b in range(7 - a):
             for j0 in enumerate_tbt(a):
                 for j1 in enumerate_tbt(b):
-                    got = e_product(j0, j1)
-                    assert got.terms == {pair_over(j0, j1): Fraction(1)}
-                    got = h_product(j0, j1)
-                    assert got.terms == {pair_under(j0, j1): Fraction(1)}
+                    over, under = pair_over(j0, j1), pair_under(j0, j1)
+                    assert e_product(j0, j1).terms == {over: Fraction(1)}
+                    assert h_product(j0, j1).terms == {under: Fraction(1)}
+                    got = element_product(e_from_p(a)[j0], e_from_p(b)[j1])
+                    assert got == e_from_p(a + b)[over]
+                    got = element_product(h_from_p(a)[j0], h_from_p(b)[j1])
+                    assert got == h_from_p(a + b)[under]
     report(10, "E- and H-basis products are single grafted terms "
                "(total degree <= 6)")
 

@@ -160,6 +160,31 @@ def test_dual_product(capsys):
     assert len(payload["result"]["terms"]) == 3
 
 
+@pytest.mark.parametrize("basis", ["P", "E", "H"])
+def test_product_rejects_a_pair_that_is_not_twin(capsys, basis):
+    bad = "[ ((. (. .)) .) | (. ((. .) .)) ]"
+    code, out, err = run_cli(
+        capsys, "product", "--basis", basis, "[ (. .) | (. .) ]", bad)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: not a twin pair: {bad}\n"
+
+
+@pytest.mark.parametrize("basis", ["P", "E", "H"])
+def test_product_of_deep_combs_at_the_default_recursion_limit(basis):
+    n = 1499
+    pair = f"[ {'(. ' * n}.{')' * n} | {'(' * n}.{' .)' * n} ]"
+    src = os.path.dirname(os.path.dirname(baxter.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "baxter.cli", "product", "--basis", basis, pair, pair],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"error: total degree {2 * n} exceeds PRODUCT_DEGREE_CAP")
+
+
 def test_product_rejects_malformed_pair_with_position(capsys):
     code, _, err = run_cli(
         capsys, "product", "--basis", "P", "[ (. .) | (. . ]", "[ . | . ]")
@@ -248,6 +273,14 @@ def test_verify_plain_lines(capsys):
 def test_verify_rejects_unknown_suite(capsys):
     code, _, err = run_cli(capsys, "verify", "frobnicate")
     assert code == 2
+
+
+@pytest.mark.parametrize("suite", ["words", "series", "all"])
+def test_verify_rejects_a_negative_bound(capsys, suite):
+    code, out, err = run_cli(capsys, "verify", suite, "--max-n", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: max_n must be nonnegative\n"
 
 
 def test_unknown_subcommand_exits_two(capsys):

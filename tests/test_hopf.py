@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 import baxter.hopf as hopf
-from baxter.errors import NotInSubalgebraError
+from baxter.errors import InternalInvariantError, NotInSubalgebraError
 from baxter.hopf import (
     Element,
     baxter_numbers,
@@ -292,6 +292,37 @@ def test_order_sum_tables_sum_over_upper_and_lower_sets():
                 "P", {j2: 1 for j2 in pairs if baxter_leq(j2, j)})
 
 
+@pytest.mark.parametrize("basis", ["E", "H"])
+def test_order_sum_tables_need_a_join_for_every_set_of_covers(monkeypatch, basis):
+    # Keep only the covers out of the bottom pair of degree 3 (for E) or
+    # into the top pair (for H): the two cones at their other ends are
+    # then disjoint, so no pair is their join (meet).
+    bottom, top = p_shape((1, 2, 3)), p_shape((3, 2, 1))
+    real = hopf.baxter_covers
+
+    def covers(j):
+        if basis == "E":
+            return real(j) if j == bottom else frozenset()
+        return frozenset(c for c in real(j) if c.target == top)
+
+    monkeypatch.setattr(hopf, "baxter_covers", covers)
+    hopf.order_sum_tables.cache_clear()
+    try:
+        with pytest.raises(InternalInvariantError, match="cone"):
+            hopf.order_sum_tables(basis, 3)
+    finally:
+        hopf.order_sum_tables.cache_clear()
+
+
+def test_order_sum_products_check_their_input():
+    bad = parse_pair("[ ((. (. .)) .) | (. ((. .) .)) ]")
+    for product in (e_product, h_product):
+        with pytest.raises(ValueError, match="not a twin pair"):
+            product(J1, bad)
+        with pytest.raises(ValueError, match="PRODUCT_DEGREE_CAP"):
+            product(J2143, J2143)
+
+
 def test_e_product_is_grafting():
     for a, b in [(J1, J1), (J12, J1), (J21, J12)]:
         got = e_product(a, b)
@@ -421,6 +452,8 @@ def test_series_check_passes():
     assert report.ok
     assert not report.failures
     assert len(report.rows) == 4
+    with pytest.raises(ValueError, match="nonnegative"):
+        series_check(-1)
 
 
 def test_degree_caps_guard_expensive_calls():

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from baxter.hopf import Element, e_from_p, h_from_p
 from baxter.insertion import min_perm, p_shape
 from baxter.lattice import (
     PairCover,
@@ -11,10 +12,9 @@ from baxter.lattice import (
     baxter_meet,
     enumerate_tbt,
     hasse_dot,
-    order_cones,
 )
 from baxter.perms import permutohedron_leq
-from baxter.trees import pair_str, parse_pair
+from baxter.trees import pair_str, parse_pair, tamari_vector
 
 
 def all_perms(n):
@@ -62,17 +62,21 @@ def test_meet_and_join_reject_pairs_of_different_sizes():
             op(p_shape(()), p_shape((1,)))
 
 
-def test_order_cones_match_the_leq_sweeps():
-    for n in range(6):
-        pairs = sorted(enumerate_tbt(n), key=pair_str)
-        assert order_cones(pairs, True) == {
-            j: [j2 for j2 in pairs if baxter_leq(j, j2)] for j in pairs
-        }
-        assert order_cones(pairs, False) == {
-            j: [j2 for j2 in pairs if baxter_leq(j2, j)] for j in pairs
-        }
-    with pytest.raises(ValueError, match="sizes differ"):
-        order_cones([p_shape((1, 2)), p_shape((1, 2, 3))], True)
+def test_order_sum_tables_match_a_direct_order_sweep():
+    for n in range(7):
+        pairs = enumerate_tbt(n)
+        vectors = {j: (tamari_vector(j[0]), tamari_vector(j[1])) for j in pairs}
+
+        def leq(j0, j1):
+            (l0, r0), (l1, r1) = vectors[j0], vectors[j1]
+            return all(a >= b for a, b in zip(l0, l1)) and all(
+                a <= b for a, b in zip(r0, r1))
+
+        e_table, h_table = e_from_p(n), h_from_p(n)
+        assert set(e_table) == set(h_table) == set(pairs)
+        for j in pairs:
+            assert e_table[j] == Element("P", {k: 1 for k in pairs if leq(j, k)})
+            assert h_table[j] == Element("P", {k: 1 for k in pairs if leq(k, j)})
 
 
 def test_order_transports_the_weak_order():

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -49,6 +51,27 @@ def test_size_and_unlabel():
     lt = parse_labeled_tree("(2 (1 . .) (3 . .))")
     assert unlabel(lt) == t
     assert size(None) == 0
+
+
+def test_deep_trees_parse_at_the_default_recursion_limit():
+    n = 3000
+    right = "(. " * n + "." + ")" * n
+    left = "(" * n + "." + " .)" * n
+    labeled = "".join(f"({k} . " for k in range(1, n + 1)) + "." + ")" * n
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # CPython's default
+    try:
+        for text in (right, left):
+            t = parse_tree(text)
+            assert size(t) == n
+            assert tree_str(t) == text
+        pair = parse_pair(f"[ {right} | {left} ]")
+        assert [size(t) for t in pair] == [n, n]
+        t = parse_labeled_tree(labeled)
+        assert size(t) == n
+        assert ltree_str(t) == labeled
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_tree_str_round_trip_on_all_small_trees():
