@@ -609,6 +609,7 @@ def dual_product(j0, j1) -> Element:
 
 def dual_coproduct(j) -> Element:
     """Coproduct of a Pstar basis element via any class representative."""
+    config.check_product_degree(tree_size(j[0]))
     tx = fstar_coproduct(fstar_element(min_perm(j)))
     acc = [(((p_shape(a), p_shape(b))), c) for (a, b), c in tx.terms.items()]
     return Element(("Pstar", "Pstar"), acc)

@@ -74,15 +74,22 @@ def _freeze(steps, children, labels):
     return built[steps[0]] if steps else None
 
 
-def _twin_trees(w, labels):
-    """Leaf insertion of the checked word ``w`` left to right, and right
-    to left (which equals root insertion left to right)."""
+@lru_cache(maxsize=1)
+def _insertion_passes(w):
+    """Child arrays of the leaf insertion of the checked word ``w`` left
+    to right, and right to left (which equals root insertion left to
+    right).  One entry is kept, so that :func:`p_symbol`,
+    :func:`q_symbol` and :func:`p_shape` on the same word share the two
+    passes."""
     forward = range(len(w))
-    backward = forward[::-1]
-    return (
-        _freeze(forward, _leaf_insertion(w, forward), labels),
-        _freeze(backward, _leaf_insertion(w, backward), labels),
-    )
+    return _leaf_insertion(w, forward), _leaf_insertion(w, forward[::-1])
+
+
+def _twin_trees(w, labels):
+    """The two trees of the checked word ``w``, from its insertion passes."""
+    forward = range(len(w))
+    left, right = _insertion_passes(w)
+    return _freeze(forward, left, labels), _freeze(forward[::-1], right, labels)
 
 
 def p_symbol(u):
@@ -119,7 +126,7 @@ def q_symbol(u):
     """
     w = check_word(u)
     backward = range(len(w))[::-1]
-    return _freeze(backward, _leaf_insertion(w, backward), range(1, len(w) + 1))
+    return _freeze(backward, _insertion_passes(w)[1], range(1, len(w) + 1))
 
 
 def is_twin_pair(pair) -> bool:

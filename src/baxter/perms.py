@@ -4,11 +4,13 @@ The right weak (permutohedron) order is handled through co-inversion
 sets: ``(i, j)`` with ``i < j`` is a co-inversion of ``sigma`` when the
 value ``j`` appears before the value ``i``.  Covers swap an adjacent
 ascent; the order is co-inversion-set inclusion; joins close the union
-of co-inversion sets under transitivity and meets are joins of value
-complements.  The order and joins run on one bit-mask row of
-co-inversions per value: a join closes the rows in one pass and
-rebuilds the permutation by popcount, in O(n^2) int operations and with
-no sets.
+of co-inversion sets under transitivity.  Reversing a permutation
+complements its co-inversion set, which turns the order upside down, so
+a meet is the reversed join of the reversals: it closes the union of
+the complemented sets.  The order, joins and meets run on one bit-mask
+row of co-inversions per value: one helper closes the rows in one pass
+and rebuilds the permutation by popcount, in O(n^2) int operations and
+with no sets.
 
 Also here: the Baxter vincular-pattern test, the two size-graded
 concatenations, and connectedness (indecomposability).
@@ -103,21 +105,16 @@ def permutohedron_covers(sigma) -> set:
     return out
 
 
-def weak_order_join(sigma, nu) -> tuple:
-    """Least upper bound in the right weak order.
+def _closed_permutation(rows) -> list:
+    """The permutation whose co-inversion rows are the transitive
+    closure of ``rows``.
 
-    The join's co-inversion set is the transitive closure of the union.
-    The two permutations' rows are ORed, then closed in one pass from
-    the largest value ``v = n`` down: row ``v`` takes in the rows of the
-    values it holds, which are larger and so closed already.  Then ``v``
-    is inserted at index popcount(row ``v``) among the values above it,
-    since exactly those in its row come first.
-
-    >>> weak_order_join((2, 1, 3), (2, 1, 3))
-    (2, 1, 3)
+    The rows are closed in one pass from the largest value ``v = n``
+    down: row ``v`` takes in the rows of the values it holds, which are
+    larger and so closed already.  Then ``v`` is inserted at index
+    popcount(row ``v``) among the values above it, since exactly those
+    in its row come first.
     """
-    s, t = _same_size(sigma, nu)
-    rows = [a | b for a, b in zip(_inversions_above(s), _inversions_above(t))]
     result = []
     for i in range(len(rows) - 1, -1, -1):
         row = bits = rows[i]
@@ -129,18 +126,43 @@ def weak_order_join(sigma, nu) -> tuple:
         result.insert(row.bit_count(), i + 1)
     if _inversions_above(result) != rows:
         raise RuntimeError("closed co-inversion set is not realizable")
-    return tuple(result)
+    return result
+
+
+def weak_order_join(sigma, nu) -> tuple:
+    """Least upper bound in the right weak order: the join's co-inversion
+    set is the transitive closure of the union of the two sets.
+
+    >>> weak_order_join((2, 1, 3), (2, 1, 3))
+    (2, 1, 3)
+    >>> weak_order_join((2, 1, 3), (1, 3, 2))
+    (3, 2, 1)
+    """
+    s, t = _same_size(sigma, nu)
+    return tuple(_closed_permutation(
+        [a | b for a, b in zip(_inversions_above(s), _inversions_above(t))]))
 
 
 def weak_order_meet(sigma, nu) -> tuple:
-    """Greatest lower bound; dual of the join under value complement.
+    """Greatest lower bound in the right weak order.
+
+    The reversal of a permutation has the complemented co-inversion set,
+    so the meet is the reversal of the join of the reversals.  Its rows
+    are the complements of the two co-inversion sets' intersection,
+    closed by the same pass as :func:`weak_order_join`.
 
     >>> weak_order_meet((2, 1, 3), (1, 3, 2))
     (1, 2, 3)
+    >>> weak_order_meet((3, 1, 2), (2, 3, 1))
+    (1, 2, 3)
     """
     s, t = _same_size(sigma, nu)
-    comp = lambda p: tuple(len(s) + 1 - a for a in p)
-    return comp(weak_order_join(comp(s), comp(t)))
+    full = (1 << len(s)) - 1
+    rows = [
+        full >> i << i & ~(a & b)
+        for i, (a, b) in enumerate(zip(_inversions_above(s), _inversions_above(t)), 1)
+    ]
+    return tuple(reversed(_closed_permutation(rows)))
 
 
 def is_baxter(sigma) -> bool:

@@ -185,6 +185,20 @@ def test_product_of_deep_combs_at_the_default_recursion_limit(basis):
     assert proc.stderr.startswith(f"error: total degree {2 * n} exceeds PRODUCT_DEGREE_CAP")
 
 
+def test_pstar_coproduct_of_a_deep_comb_stops_at_the_degree_cap():
+    n = 1499
+    pair = f"[ {'(. ' * n}.{')' * n} | {'(' * n}.{' .)' * n} ]"
+    src = os.path.dirname(os.path.dirname(baxter.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "baxter.cli", "coproduct", "--basis", "Pstar", pair],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"error: total degree {n} exceeds PRODUCT_DEGREE_CAP")
+
+
 def test_product_rejects_malformed_pair_with_position(capsys):
     code, _, err = run_cli(
         capsys, "product", "--basis", "P", "[ (. .) | (. . ]", "[ . | . ]")

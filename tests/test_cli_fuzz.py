@@ -57,10 +57,7 @@ def pairs(comb_sizes):
     )
 
 
-# Products stop at the degree cap, whatever the depth; the Pstar
-# coproduct of a comb has one term per cut, so its combs stay shallow.
 PAIRS = pairs([2, 3, 40, 1499])
-SHALLOW_PAIRS = pairs([2, 3, 40])
 
 SHORT_WORDS = st.lists(st.integers(1, 9), max_size=7).map(
     lambda w: " ".join(map(str, w)))
@@ -81,7 +78,7 @@ ARGVS = st.one_of(
               PAIRS, PAIRS),
     st.builds(lambda a, b: ["dual-product", a, b], PAIRS, PAIRS),
     st.builds(lambda basis, a: ["coproduct", "--basis", basis, a],
-              st.sampled_from(["P", "Pstar"]), SHALLOW_PAIRS),
+              st.sampled_from(["P", "Pstar"]), PAIRS),
     st.builds(lambda cmd, n: [cmd, n],
               st.sampled_from(["dims", "lattice", "primitives"]), SMALL_N),
     st.builds(lambda n, fmt: ["lattice", n, *fmt], SMALL_N,

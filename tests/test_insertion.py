@@ -4,6 +4,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from baxter import insertion
 from baxter.congruence import congruence_class
 from baxter.insertion import (
     _infix_edges,
@@ -76,6 +77,24 @@ def test_empty_word_symbols():
     assert p_symbol(()) == (None, None)
     assert q_symbol(()) is None
     assert p_shape(()) == (None, None)
+
+
+def test_symbols_and_shape_of_one_word_share_two_insertion_passes(monkeypatch):
+    calls = []
+    real = insertion._leaf_insertion
+
+    def counting(w, steps):
+        calls.append(steps)
+        return real(w, steps)
+
+    monkeypatch.setattr(insertion, "_leaf_insertion", counting)
+    u = (7, 3, 9, 3, 1, 8, 2, 6, 5, 4, 7, 11, 10)  # used by no other test
+    left, right = p_symbol(u)
+    q = q_symbol(u)
+    shape = p_shape(u)
+    assert len(calls) == 2
+    assert shape == (unlabel(left), unlabel(right))
+    assert unlabel(q) == shape[1]
 
 
 def test_is_twin_pair():

@@ -1,5 +1,9 @@
 import pytest
 
+from baxter import verify
+from baxter.insertion import p_shape
+from baxter.lattice import baxter_covers
+from baxter.trees import pair_str, size as tree_size
 from baxter.verify import (
     SUITES,
     baxter_number_formula,
@@ -63,3 +67,55 @@ def test_congruence_partition_groups_classes():
     ids = congruence_partition(words, "sylvester")
     assert ids[(1, 3, 2)] == ids[(3, 1, 2)]
     assert ids[(2, 1, 3)] != ids[(1, 3, 2)]
+
+
+# Mutation cases: each replaces one kernel as ``baxter.verify`` sees it
+# and asserts that the check built to catch it reports a failure.
+
+JOIN_MEET_CHECK = "weak-order join/meet are the least upper and greatest lower bounds"
+PAIR_BOUNDS_CHECK = "meet and join are the greatest lower and least upper bounds"
+COVERS_CHECK = "cover moves match the transitive reduction exactly"
+
+
+def _named(checks, prefix):
+    (found,) = [c for c in checks if c.name.startswith(prefix)]
+    return found
+
+
+def _leq_without(monkeypatch, low, high):
+    real = verify.baxter_leq
+    monkeypatch.setattr(
+        verify, "baxter_leq",
+        lambda j0, j1: (j0, j1) != (low, high) and real(j0, j1))
+
+
+def test_perms_suite_catches_a_join_that_overshoots(monkeypatch):
+    monkeypatch.setattr(
+        verify, "weak_order_join",
+        lambda a, b: a if a == b else tuple(range(len(a), 0, -1)))
+    assert not _named(verify.perms_suite(4), JOIN_MEET_CHECK).ok
+
+
+def test_perms_suite_catches_a_meet_that_undershoots(monkeypatch):
+    monkeypatch.setattr(
+        verify, "weak_order_meet", lambda a, b: tuple(range(1, len(a) + 1)))
+    assert not _named(verify.perms_suite(4), JOIN_MEET_CHECK).ok
+
+
+def test_lattice_suite_catches_a_meet_at_the_bottom(monkeypatch):
+    monkeypatch.setattr(
+        verify, "baxter_meet",
+        lambda j0, j1: p_shape(tuple(range(1, tree_size(j0[0]) + 1))))
+    assert not _named(verify.lattice_suite(4), PAIR_BOUNDS_CHECK).ok
+
+
+def test_lattice_suite_catches_an_order_missing_bottom_below_top(monkeypatch):
+    _leq_without(monkeypatch, p_shape((1, 2, 3)), p_shape((3, 2, 1)))
+    assert not _named(verify.lattice_suite(4), PAIR_BOUNDS_CHECK).ok
+
+
+def test_lattice_suite_catches_an_order_missing_a_cover(monkeypatch):
+    bottom = p_shape((1, 2, 3))
+    (cover, *_) = sorted(baxter_covers(bottom), key=lambda c: pair_str(c.target))
+    _leq_without(monkeypatch, bottom, cover.target)
+    assert not _named(verify.lattice_suite(4), COVERS_CHECK).ok
