@@ -147,9 +147,9 @@ def weak_order_meet(sigma, nu) -> tuple:
     """Greatest lower bound in the right weak order.
 
     The reversal of a permutation has the complemented co-inversion set,
-    so the meet is the reversal of the join of the reversals.  Its rows
-    are the complements of the two co-inversion sets' intersection,
-    closed by the same pass as :func:`weak_order_join`.
+    so the meet is the reversal of the join of the reversals.  That join
+    closes the complement of the intersection of the two co-inversion
+    sets, by the same pass as :func:`weak_order_join`.
 
     >>> weak_order_meet((2, 1, 3), (1, 3, 2))
     (1, 2, 3)
@@ -158,10 +158,9 @@ def weak_order_meet(sigma, nu) -> tuple:
     """
     s, t = _same_size(sigma, nu)
     full = (1 << len(s)) - 1
-    rows = [
-        full >> i << i & ~(a & b)
-        for i, (a, b) in enumerate(zip(_inversions_above(s), _inversions_above(t)), 1)
-    ]
+    both = zip(_inversions_above(s), _inversions_above(t))
+    # full >> i << i: the values above i
+    rows = [full >> i << i & ~(a & b) for i, (a, b) in enumerate(both, 1)]
     return tuple(reversed(_closed_permutation(rows)))
 
 
