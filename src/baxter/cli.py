@@ -37,7 +37,7 @@ from .trees import (
     parse_pair,
     tree_str,
 )
-from .words import is_permutation, parse_word, word_str
+from .words import is_permutation, parse_word, standardize, word_str
 
 
 def _emit(args, payload, plain_lines):
@@ -77,12 +77,12 @@ def cmd_insert(args):
 
 def cmd_class(args):
     u = parse_word(args.word)
-    if is_permutation(u):
-        members = sorted(class_of_pair(p_shape(u)))
-    else:
-        from .congruence import congruence_class
-
-        members = sorted(congruence_class(u, "baxter"))
+    # The Baxter class of u is the class of std(u) read in u's letters:
+    # value v becomes the v-th smallest letter of u.
+    letters = sorted(u)
+    members = sorted(
+        tuple(letters[v - 1] for v in s)
+        for s in class_of_pair(p_shape(standardize(u))))
     texts = [word_str(w) for w in members]
     _emit(args, {"word": word_str(u), "class": texts}, texts)
     return 0
@@ -232,7 +232,8 @@ def build_parser():
     p.set_defaults(func=cmd_insert)
 
     p = sub.add_parser("class", parents=[common],
-                       help="list the congruence class of a word")
+                       help="list the congruence class of a word "
+                            "(no member cap: run time follows the class size)")
     p.add_argument("word")
     p.set_defaults(func=cmd_class)
 

@@ -541,10 +541,8 @@ def rho_linear(x: Element) -> Element:
     """Apply ``rho`` linearly to a Psylv element."""
     if x.basis != "Psylv":
         raise ValueError("rho_linear needs a Psylv-basis element")
-    out = Element("P", ())
-    for t, c in x.terms.items():
-        out = out + c * rho(t)
-    return out
+    return Element("P", [
+        (j, c * d) for t, c in x.terms.items() for j, d in rho(t).terms.items()])
 
 
 # ---------------------------------------------------------------------------

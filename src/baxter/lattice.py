@@ -62,6 +62,10 @@ def enumerate_tbt(n: int) -> frozenset:
 def baxter_leq(j0, j1) -> bool:
     """Order on twin pairs: left vectors decrease, right vectors increase.
 
+    The left trees are compared first; the right trees are walked only
+    when that comparison holds.  Each call walks its trees afresh, so a
+    sweep over many pairs should compute the vectors once itself.
+
     >>> j12, j21 = p_shape((1, 2)), p_shape((2, 1))
     >>> baxter_leq(j12, j21), baxter_leq(j21, j12)
     (True, False)
@@ -69,8 +73,9 @@ def baxter_leq(j0, j1) -> bool:
     v0l, v1l = tamari_vector(j0[0]), tamari_vector(j1[0])
     if len(v0l) != len(v1l):
         raise ValueError("sizes differ")
-    v0r, v1r = tamari_vector(j0[1]), tamari_vector(j1[1])
-    return all(map(ge, v0l, v1l)) and all(map(le, v0r, v1r))
+    if not all(map(ge, v0l, v1l)):
+        return False
+    return all(map(le, tamari_vector(j0[1]), tamari_vector(j1[1])))
 
 
 def _diff_bit(c0: str, c1: str) -> int:

@@ -12,11 +12,22 @@ row of co-inversions per value: one helper closes the rows in one pass
 and rebuilds the permutation by popcount, in O(n^2) int operations and
 with no sets.
 
+The rows of a permutation are validated and built once per process, by
+the memo :func:`_rows` (an ``lru_cache`` bounded at 2048 entries, so a
+sweep over S_6 keeps every operand's rows).  Its keys compare by value:
+``(1.0, 2.0)``, ``(True, 2)`` and ``(1, 2)`` share one entry, and the
+rows are built from ``int`` letters, so the answer does not depend on
+which spelling reached the cache first.  Inputs that are not
+permutations raise ``ValueError`` and are never stored.
+
 Also here: the Baxter vincular-pattern test, the two size-graded
 concatenations, and connectedness (indecomposability).
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+from operator import eq, or_
 
 from .words import is_permutation
 
@@ -57,26 +68,44 @@ def co_inversions(sigma) -> frozenset:
     )
 
 
-def _inversions_above(s) -> list:
-    """The co-inversion rows of the permutation ``s``: bit ``j - 1`` of
-    ``rows[i - 1]`` is set when ``i < j`` and ``j`` comes before ``i``.
+@lru_cache(maxsize=2048)
+def _rows(s: tuple) -> tuple:
+    """The co-inversion rows of the permutation tuple ``s``: bit ``j - 1``
+    of ``rows[i - 1]`` is set when ``i < j`` and ``j`` comes before ``i``.
 
-    >>> [bin(row) for row in _inversions_above((3, 1, 2))]
+    ``s`` is checked as :func:`check_permutation` checks it, on a cache
+    miss only; hits are found by value, so equal tuples of other numeric
+    types share the entry, which is built from ``int`` letters.
+
+    >>> [bin(row) for row in _rows((3, 1, 2))]
     ['0b100', '0b100', '0b0']
     """
+    if not is_permutation(s):
+        raise ValueError(f"not a permutation: {s}")
     rows = [0] * len(s)
     seen = 0
-    for v in s:
+    for v in map(int, s):
         rows[v - 1] = seen >> v << v
         seen |= 1 << (v - 1)
-    return rows
+    return tuple(rows)
+
+
+def _checked_rows(sigma) -> tuple:
+    s = tuple(sigma)
+    try:
+        return _rows(s)
+    except TypeError:
+        # an unhashable letter: report it as check_permutation does
+        check_permutation(s)
+        raise
 
 
 def _same_size(sigma, nu):
-    s, t = check_permutation(sigma), check_permutation(nu)
-    if len(s) != len(t):
+    """The co-inversion rows of two permutations of the same size."""
+    a, b = _checked_rows(sigma), _checked_rows(nu)
+    if len(a) != len(b):
         raise ValueError("sizes differ")
-    return s, t
+    return a, b
 
 
 def permutohedron_leq(sigma, nu) -> bool:
@@ -87,8 +116,8 @@ def permutohedron_leq(sigma, nu) -> bool:
     >>> permutohedron_leq((2, 1, 3), (1, 3, 2))
     False
     """
-    s, t = _same_size(sigma, nu)
-    return all(a & ~b == 0 for a, b in zip(_inversions_above(s), _inversions_above(t)))
+    a, b = _same_size(sigma, nu)
+    return all(map(eq, map(or_, a, b), b))
 
 
 def permutohedron_covers(sigma) -> set:
@@ -105,9 +134,9 @@ def permutohedron_covers(sigma) -> set:
     return out
 
 
-def _closed_permutation(rows) -> list:
+def _closed_permutation(rows) -> tuple:
     """The permutation whose co-inversion rows are the transitive
-    closure of ``rows``.
+    closure of ``rows`` (a list, closed in place).
 
     The rows are closed in one pass from the largest value ``v = n``
     down: row ``v`` takes in the rows of the values it holds, which are
@@ -124,7 +153,8 @@ def _closed_permutation(rows) -> list:
             bits ^= low
         rows[i] = row
         result.insert(row.bit_count(), i + 1)
-    if _inversions_above(result) != rows:
+    result = tuple(result)
+    if _rows(result) != tuple(rows):
         raise RuntimeError("closed co-inversion set is not realizable")
     return result
 
@@ -138,9 +168,8 @@ def weak_order_join(sigma, nu) -> tuple:
     >>> weak_order_join((2, 1, 3), (1, 3, 2))
     (3, 2, 1)
     """
-    s, t = _same_size(sigma, nu)
-    return tuple(_closed_permutation(
-        [a | b for a, b in zip(_inversions_above(s), _inversions_above(t))]))
+    a, b = _same_size(sigma, nu)
+    return _closed_permutation(list(map(or_, a, b)))
 
 
 def weak_order_meet(sigma, nu) -> tuple:
@@ -156,12 +185,11 @@ def weak_order_meet(sigma, nu) -> tuple:
     >>> weak_order_meet((3, 1, 2), (2, 3, 1))
     (1, 2, 3)
     """
-    s, t = _same_size(sigma, nu)
-    full = (1 << len(s)) - 1
-    both = zip(_inversions_above(s), _inversions_above(t))
+    a, b = _same_size(sigma, nu)
+    full = (1 << len(a)) - 1
     # full >> i << i: the values above i
-    rows = [full >> i << i & ~(a & b) for i, (a, b) in enumerate(both, 1)]
-    return tuple(reversed(_closed_permutation(rows)))
+    rows = [full >> i << i & ~(x & y) for i, (x, y) in enumerate(zip(a, b), 1)]
+    return _closed_permutation(rows)[::-1]
 
 
 def is_baxter(sigma) -> bool:

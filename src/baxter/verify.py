@@ -794,10 +794,9 @@ def _bits(mask):
 
 
 def _p_coproduct_linear(x):
-    out = hopf.Element(("P", "P"), ())
-    for j, c in x.terms.items():
-        out = out + c * hopf.p_coproduct(j)
-    return out
+    return hopf.Element(("P", "P"), [
+        (k, c * d) for j, c in x.terms.items()
+        for k, d in hopf.p_coproduct(j).terms.items()])
 
 
 def hopf_suite(max_n=5):
@@ -922,9 +921,9 @@ def hopf_suite(max_n=5):
         h_tab, ph_tab = hopf.h_from_p(d), hopf.p_from_h(d)
         for j in pairs[d]:
             for tab, back_tab in ((e_tab, pe_tab), (h_tab, ph_tab)):
-                back = hopf.Element("P", ())
-                for k, c in back_tab[j].terms.items():
-                    back = back + c * tab[k]
+                back = hopf.Element("P", [
+                    (i, c * w) for k, c in back_tab[j].terms.items()
+                    for i, w in tab[k].terms.items()])
                 if back != hopf.p_element(j):
                     tables_ok = False
     checks.append(_check("order-sum base changes are exact inverses", tables_ok))

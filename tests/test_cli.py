@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -7,6 +8,8 @@ import pytest
 
 import baxter
 from baxter.cli import main
+from baxter.congruence import congruence_class
+from baxter.words import word_str
 
 
 def run_cli(capsys, *argv):
@@ -84,6 +87,23 @@ def test_class_of_rigid_word_is_a_singleton(capsys):
     code, out, _ = run_cli(capsys, "class", "121", "--plain")
     assert code == 0
     assert out.split() == ["121"]
+
+
+def test_class_of_words_matches_the_rewrite_closure(capsys):
+    # bx class reads the class of the standardized word back in the
+    # word's letters; congruence_class closes the rewrite rules directly
+    for n in range(6):
+        for w in itertools.product((1, 2, 3), repeat=n):
+            code, out, _ = run_cli(capsys, "class", word_str(w), "--plain")
+            assert code == 0
+            assert out.split() == [word_str(v) for v in sorted(congruence_class(w, "baxter"))]
+
+
+def test_class_of_repeated_increasing_run(capsys):
+    word = " ".join(map(str, list(range(1, 11)) * 2))
+    code, out, _ = run_cli(capsys, "class", word, "--plain")
+    assert code == 0
+    assert len(out.splitlines()) == 4862
 
 
 def test_check_baxter_true_exits_zero(capsys):

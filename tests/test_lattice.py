@@ -79,6 +79,19 @@ def test_order_sum_tables_match_a_direct_order_sweep():
             assert h_table[j] == Element("P", {k: 1 for k in pairs if leq(k, j)})
 
 
+def test_leq_matches_the_four_vector_comparison():
+    for n in range(6):
+        pairs = enumerate_tbt(n)
+        vectors = {j: (tamari_vector(j[0]), tamari_vector(j[1])) for j in pairs}
+        for a in pairs:
+            (l0, r0) = vectors[a]
+            for b in pairs:
+                (l1, r1) = vectors[b]
+                expected = all(x >= y for x, y in zip(l0, l1)) and all(
+                    x <= y for x, y in zip(r0, r1))
+                assert baxter_leq(a, b) == expected, (pair_str(a), pair_str(b))
+
+
 def test_order_transports_the_weak_order():
     for n in range(1, 6):
         pairs = enumerate_tbt(n)

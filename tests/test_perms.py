@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from baxter.perms import (
+    _closed_permutation,
     _is_baxter_scan,
+    _rows,
     check_permutation,
     co_inversions,
     inverse,
@@ -156,6 +158,66 @@ def test_weak_order_bounds_are_exact():
                 assert permutohedron_leq(j, u)
             if permutohedron_leq(u, s) and permutohedron_leq(u, t):
                 assert permutohedron_leq(u, m)
+
+
+def _weak_order_answers(s, t):
+    """leq, join and meet of one pair, or the error each raises."""
+    out = []
+    for op in (permutohedron_leq, weak_order_join, weak_order_meet):
+        try:
+            result = op(s, t)
+        except ValueError as exc:
+            result = str(exc)
+        else:
+            if isinstance(result, tuple):
+                assert all(type(v) is int for v in result)
+        out.append(result)
+    return out
+
+
+def test_rows_memo_answers_the_same_cold_and_warm():
+    pairs = [(s, t) for n in range(5) for s, t in itertools.product(all_perms(n), repeat=2)]
+    cold = []
+    for s, t in pairs:
+        _rows.cache_clear()
+        cold.append(_weak_order_answers(s, t))
+    warm = [_weak_order_answers(s, t) for s, t in pairs]
+    assert _rows.cache_info().hits > 0
+    assert cold == warm
+
+
+def test_rows_memo_keys_by_value():
+    cases = [
+        ((1.0, 2.0), (2, 1)),
+        ((True, 2), (2, 1)),
+        ([2, 1], (1, 2)),
+        ((2, 1), [2.0, True]),
+        ((1, 1), (1, 2)),
+        ((1, 2), (1, 1)),
+    ]
+    for s, t in cases:
+        _rows.cache_clear()
+        cold = _weak_order_answers(s, t)
+        _rows.cache_clear()
+        for p in all_perms(2):  # warm up under the plain int spelling
+            _rows(p)
+        assert _weak_order_answers(s, t) == cold, (s, t)
+        assert _weak_order_answers(tuple(map(int, s)), tuple(map(int, t))) == cold
+    assert _weak_order_answers((1.0, 2.0), (2, 1)) == [True, (2, 1), (1, 2)]
+    with pytest.raises(ValueError, match=r"not a permutation: \(1, 1\)"):
+        permutohedron_leq((1, 1), (1, 2))
+    assert _rows.cache_info().currsize == 2  # failed checks are not stored
+    with pytest.raises(ValueError, match="not a permutation"):
+        weak_order_join(([1],), ([1],))
+
+
+def test_rows_memo_is_bounded():
+    assert _rows.cache_info().maxsize is not None
+
+
+def test_closed_permutation_rejects_rows_no_permutation_has():
+    with pytest.raises(RuntimeError, match="not realizable"):
+        _closed_permutation([0b1])
 
 
 def test_is_baxter_small_cases():
