@@ -24,6 +24,7 @@ from .lattice import (
     baxter_leq,
     baxter_meet,
     enumerate_tbt,
+    hasse,
     hasse_dot,
 )
 from .perms import (

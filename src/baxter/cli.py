@@ -27,16 +27,9 @@ from .hopf import (
     totally_primitive_basis,
 )
 from .insertion import class_of_pair, p_shape, p_symbol, q_symbol
-from .lattice import baxter_covers, enumerate_tbt, hasse_dot
+from .lattice import enumerate_tbt, hasse, hasse_dot
 from .perms import is_baxter
-from .trees import (
-    ParseError,
-    canopy,
-    ltree_str,
-    pair_str,
-    parse_pair,
-    tree_str,
-)
+from .trees import canopy, ltree_str, pair_str, parse_pair, tree_str
 from .words import is_permutation, parse_word, standardize, word_str
 
 
@@ -133,21 +126,14 @@ def cmd_lattice(args):
     if fmt == "dot":
         print(hasse_dot(args.n), end="")
         return 0
-    vertices = sorted(enumerate_tbt(args.n), key=pair_str)
-    covers = []
-    for j in vertices:
-        for cover in sorted(baxter_covers(j), key=lambda c: pair_str(c.target)):
-            covers.append({
-                "source": pair_str(j),
-                "target": pair_str(cover.target),
-                "case": cover.case,
-            })
-    payload = {
-        "n": args.n,
-        "vertices": [pair_str(j) for j in vertices],
-        "covers": covers,
-    }
-    lines = [f"vertex\t{v}" for v in payload["vertices"]]
+    vertices = [pair_str(j) for j in enumerate_tbt(args.n)]
+    covers = [
+        {"source": vertices[i], "target": vertices[k], "case": case}
+        for i, row in enumerate(hasse(args.n))
+        for k, case in row
+    ]
+    payload = {"n": args.n, "vertices": vertices, "covers": covers}
+    lines = [f"vertex\t{v}" for v in vertices]
     lines += [f"cover\t{c['source']}\t{c['target']}\t{c['case']}" for c in covers]
     _emit(args, payload, lines)
     return 0
@@ -293,9 +279,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache, reduce, wraps
 from operator import or_
 
 from . import config
@@ -28,13 +28,14 @@ from .errors import InternalInvariantError, NotInSubalgebraError
 from .exactlin import RationalMatrix, kernel_basis, rational_str
 from .insertion import (
     baxter_representative,
+    check_twin_pair,
     class_of_pair,
     is_twin_pair,
     min_perm,
     p_shape,
     sylvester_class_of_tree,
 )
-from .lattice import baxter_covers, enumerate_tbt
+from .lattice import enumerate_tbt, hasse, positions
 from .perms import check_permutation, inverse as perm_inverse, is_connected
 from .trees import (
     canopy,
@@ -201,9 +202,7 @@ def f_element(sigma, coeff=1) -> Element:
 
 
 def p_element(pair, coeff=1) -> Element:
-    if not is_twin_pair(pair):
-        raise ValueError(f"not a twin pair: {pair_str(pair)}")
-    return Element("P", {pair: coeff})
+    return Element("P", {check_twin_pair(pair): coeff})
 
 
 def fstar_element(sigma, coeff=1) -> Element:
@@ -348,10 +347,28 @@ def f_collect_to_p(x: Element) -> Element:
     return collect(x, "P", p_shape, class_of_pair)
 
 
-@lru_cache(maxsize=None)
+def _check_degree(*pairs):
+    config.check_product_degree(sum(tree_size(j[0]) for j in pairs))
+
+
+def _capped_cache(fn):
+    """Cache ``fn``, an operation on twin pairs, checking the degree cap
+    first: the cache hashes the pairs, which recurses in C and crashes
+    on deep enough trees."""
+    cached = lru_cache(maxsize=None)(fn)
+
+    @wraps(fn)
+    def checked(*pairs):
+        _check_degree(*pairs)
+        return cached(*pairs)
+
+    checked.cache_info, checked.cache_clear = cached.cache_info, cached.cache_clear
+    return checked
+
+
+@_capped_cache
 def p_product(j0, j1) -> Element:
     """Product of two P basis elements, collected back into P."""
-    config.check_product_degree(tree_size(j0[0]) + tree_size(j1[0]))
     expanded = element_product(p_to_f(j0), p_to_f(j1))
     try:
         return f_collect_to_p(expanded)
@@ -361,10 +378,9 @@ def p_product(j0, j1) -> Element:
         ) from exc
 
 
-@lru_cache(maxsize=None)
+@_capped_cache
 def p_coproduct(j) -> Element:
     """Coproduct of a P basis element, collected into P(x)P."""
-    config.check_product_degree(tree_size(j[0]))
     try:
         return f_collect_to_p(f_coproduct(p_to_f(j)))
     except NotInSubalgebraError as exc:
@@ -377,10 +393,6 @@ def p_coproduct(j) -> Element:
 # the order-sum bases E and H
 
 
-def _pairs_sorted(n):
-    return sorted(enumerate_tbt(n), key=pair_str)
-
-
 @lru_cache(maxsize=None)
 def order_sum_tables(basis: str, n: int):
     """Degree-n base-change tables between an order-sum basis and P.
@@ -390,8 +402,9 @@ def order_sum_tables(basis: str, n: int):
     ``forward[j]`` expands the ``basis`` element at ``j`` in P, and
     ``inverse[j]`` expands P at ``j`` in ``basis``.
 
-    Both come from the covers: E edges run up them, H edges down.  A cone
-    is a bit set over :func:`_pairs_sorted`, its own bit ORed with the
+    Both come from the covers of :func:`~baxter.lattice.hasse`: E edges
+    run up them, H edges down.  A cone is a bit set over the positions of
+    :func:`~baxter.lattice.enumerate_tbt`, its own bit ORed with the
     cones at its edge ends.  By Rota's crosscut rule, ``inverse[j]`` sums
     ``(-1)**len(S)`` times the element at the pair whose cone is the AND
     of the cones in ``S`` (the join of ``S``, or meet for H), over the
@@ -399,9 +412,8 @@ def order_sum_tables(basis: str, n: int):
     """
     if basis not in ("E", "H"):
         raise ValueError(f"not an order-sum basis: {basis!r}")
-    pairs = _pairs_sorted(n)
-    index = {j: i for i, j in enumerate(pairs)}
-    up = [(i, index[c.target]) for i, j in enumerate(pairs) for c in baxter_covers(j)]
+    pairs = enumerate_tbt(n)
+    up = [(i, k) for i, covers in enumerate(hasse(n)) for k, _ in covers]
     edges = [[] for _ in pairs]
     for a, b in up if basis == "E" else [(b, a) for a, b in up]:
         edges[a].append(b)
@@ -415,7 +427,7 @@ def order_sum_tables(basis: str, n: int):
     forward, inverse = {}, {}
     one = Fraction(1)
     for i, j in enumerate(pairs):
-        forward[j] = Element("P", [(pairs[k], one) for k in _bits(cones[i])])
+        forward[j] = Element("P", [(pairs[k], one) for k in positions(cones[i])])
         terms = [(cones[i], one)]
         for k in edges[i]:
             terms += [(cone & cones[k], -sign) for cone, sign in terms]
@@ -424,13 +436,6 @@ def order_sum_tables(basis: str, n: int):
         except KeyError:
             raise InternalInvariantError(f"no cone for covers of {pair_str(j)}") from None
     return forward, inverse
-
-
-def _bits(mask):
-    """The positions of the set bits of ``mask``, lowest first."""
-    while mask:
-        yield (mask & -mask).bit_length() - 1
-        mask &= mask - 1
 
 
 def e_from_p(n: int):
@@ -455,13 +460,13 @@ def p_from_h(n: int):
 
 def e_product(j0, j1) -> Element:
     """Product of two E basis elements: the single graft ``E[pair_over]``."""
-    config.check_product_degree(tree_size(j0[0]) + tree_size(j1[0]))
+    _check_degree(j0, j1)
     return Element("E", {pair_over(j0, j1): 1})
 
 
 def h_product(j0, j1) -> Element:
     """Product of two H basis elements: the single graft ``H[pair_under]``."""
-    config.check_product_degree(tree_size(j0[0]) + tree_size(j1[0]))
+    _check_degree(j0, j1)
     return Element("H", {pair_under(j0, j1): 1})
 
 
@@ -470,9 +475,8 @@ def h_product(j0, j1) -> Element:
 
 
 def _graft_pairs(j0, j1, left, right):
-    for j in (j0, j1):
-        if not is_twin_pair(j):
-            raise ValueError(f"not a twin pair: {pair_str(j)}")
+    check_twin_pair(j0)
+    check_twin_pair(j1)
     out = (left(j0[0], j1[0]), right(j0[1], j1[1]))
     if not is_twin_pair(out):
         raise InternalInvariantError("grafting twin pairs lost complementarity")
@@ -601,13 +605,13 @@ def psi(x: Element) -> Element:
 
 def dual_product(j0, j1) -> Element:
     """Product of Pstar basis elements via any class representatives."""
-    config.check_product_degree(tree_size(j0[0]) + tree_size(j1[0]))
+    _check_degree(j0, j1)
     return phi(_fstar_key_product(min_perm(j0), min_perm(j1)))
 
 
 def dual_coproduct(j) -> Element:
     """Coproduct of a Pstar basis element via any class representative."""
-    config.check_product_degree(tree_size(j[0]))
+    _check_degree(j)
     tx = fstar_coproduct(fstar_element(min_perm(j)))
     acc = [(((p_shape(a), p_shape(b))), c) for (a, b), c in tx.terms.items()]
     return Element(("Pstar", "Pstar"), acc)
@@ -638,7 +642,7 @@ def totally_primitive_basis(n: int):
 def _totally_primitive_cached(n: int):
     if n == 0:
         return ()
-    pairs = _pairs_sorted(n)
+    pairs = enumerate_tbt(n)
     rows = {}
     entries = {}
     for col, j in enumerate(pairs):
@@ -692,20 +696,17 @@ class SeriesReport:
     failures: list = field(default_factory=list)
 
 
-def series_check(nmax: int, tp_nmax=None) -> SeriesReport:
+def series_check(nmax: int) -> SeriesReport:
     """Check the enumeration against the generating-series identities.
 
     With B(z) the twin-pair series, connected pairs must match
     1 - 1/B(z) degree by degree up to ``nmax``, and totally primitive
-    dimensions must match (B(z) - 1) / B(z)^2 up to ``tp_nmax`` (the
-    kernel computation is the costly part, so it gets its own bound,
-    defaulting to min(nmax, 5)).
+    dimensions must match (B(z) - 1) / B(z)^2 up to degree 5 (the
+    kernel computation is the costly part, so it stops there).
     """
     if nmax < 0:
         raise ValueError("n must be nonnegative")
     config.check_enum_degree(nmax)
-    if tp_nmax is None:
-        tp_nmax = min(nmax, 5)
     b = [Fraction(v) for v in baxter_numbers(nmax)]
     inv_b = _series_inv(b, nmax)
     conn_series = [Fraction(int(k == 0)) - c for k, c in enumerate(inv_b)]
@@ -726,7 +727,7 @@ def series_check(nmax: int, tp_nmax=None) -> SeriesReport:
             report.failures.append(
                 f"degree {n}: connected count {conn} != series value {conn_series[n]}"
             )
-        if n <= tp_nmax:
+        if n <= 5:
             tot = len(totally_primitive_basis(n))
             row["totally_primitive"] = tot
             row["totally_primitive_series"] = tot_series[n]

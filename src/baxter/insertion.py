@@ -141,6 +141,13 @@ def is_twin_pair(pair) -> bool:
     return canopies_complementary(canopy(left), canopy(right))
 
 
+def check_twin_pair(pair):
+    """Return ``pair`` if it is a twin pair; raise ``ValueError`` if not."""
+    if not is_twin_pair(pair):
+        raise ValueError(f"not a twin pair: {pair_str(pair)}")
+    return pair
+
+
 @lru_cache(maxsize=None)
 def p_shape(u):
     """Unlabeled shape of the P-symbol of ``u`` (cached), checked to be a
@@ -230,8 +237,7 @@ def class_of_pair(pair) -> frozenset:
     >>> sorted(class_of_pair(p_shape((2, 1, 4, 3))))
     [(2, 1, 4, 3), (2, 4, 1, 3)]
     """
-    if not is_twin_pair(pair):
-        raise ValueError(f"not a twin pair: {pair_str(pair)}")
+    check_twin_pair(pair)
     n, left_edges = _infix_edges(pair[0])
     preds = {v: set() for v in range(1, n + 1)}
     for parent, child in left_edges:

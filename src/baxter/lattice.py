@@ -5,18 +5,18 @@ compares rotation vectors contravariantly on the left tree and
 covariantly on the right tree.  It is the image of the right weak order
 under insertion: covers rotate one tree keeping its canopy, or both
 trees at the same canopy position.  Meets and joins project the weak
-order meet/join of class extremes.  The order-sum tables of
-:mod:`baxter.hopf` are built from the covers alone.
+order meet/join of class extremes.  :func:`enumerate_tbt` lists the
+pairs of a degree in canonical order and :func:`hasse` their covers;
+the order-sum tables of :mod:`baxter.hopf` are built from these alone.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import ge, le
 from typing import NamedTuple
 
 from . import config
-from .insertion import class_of_pair, is_twin_pair, max_perm, min_perm, p_shape
+from .insertion import check_twin_pair, max_perm, min_perm, p_shape
 from .perms import weak_order_join, weak_order_meet
 from .trees import (
     canopy,
@@ -25,7 +25,7 @@ from .trees import (
     pair_str,
     right_rotate,
     size,
-    tamari_vector,
+    tamari_leq,
     trees_by_canopy,
 )
 
@@ -38,8 +38,9 @@ class PairCover(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def enumerate_tbt(n: int) -> frozenset:
-    """All twin pairs of size ``n`` (Baxter many).
+def enumerate_tbt(n: int) -> tuple:
+    """All twin pairs of size ``n`` (Baxter many), in the canonical order:
+    sorted by :func:`~baxter.trees.pair_str`.
 
     >>> [len(enumerate_tbt(k)) for k in range(5)]
     [1, 1, 2, 6, 22]
@@ -47,16 +48,10 @@ def enumerate_tbt(n: int) -> frozenset:
     if n < 0:
         raise ValueError("n must be nonnegative")
     config.check_enum_degree(n)
-    if n == 0:
-        return frozenset({(None, None)})
     groups = trees_by_canopy(n)
-    out = set()
-    for c, lefts in groups.items():
-        rights = groups.get(complement_canopy(c), ())
-        for tl in lefts:
-            for tr in rights:
-                out.add((tl, tr))
-    return frozenset(out)
+    pairs = [(tl, tr) for c, lefts in groups.items() for tl in lefts
+             for tr in groups.get(complement_canopy(c), ())]
+    return tuple(sorted(pairs, key=pair_str))
 
 
 def baxter_leq(j0, j1) -> bool:
@@ -70,12 +65,7 @@ def baxter_leq(j0, j1) -> bool:
     >>> baxter_leq(j12, j21), baxter_leq(j21, j12)
     (True, False)
     """
-    v0l, v1l = tamari_vector(j0[0]), tamari_vector(j1[0])
-    if len(v0l) != len(v1l):
-        raise ValueError("sizes differ")
-    if not all(map(ge, v0l, v1l)):
-        return False
-    return all(map(le, tamari_vector(j0[1]), tamari_vector(j1[1])))
+    return tamari_leq(j1[0], j0[0]) and tamari_leq(j0[1], j1[1])
 
 
 def _diff_bit(c0: str, c1: str) -> int:
@@ -93,9 +83,7 @@ def baxter_covers(j) -> frozenset:
     >>> [c.case for c in baxter_covers(p_shape((1, 2)))]
     ['simultaneous']
     """
-    if not is_twin_pair(j):
-        raise ValueError(f"not a twin pair: {pair_str(j)}")
-    tl, tr = j
+    tl, tr = check_twin_pair(j)
     n = size(tl)
     if n < 2:
         return frozenset()
@@ -139,17 +127,37 @@ def baxter_join(j0, j1):
     return p_shape(weak_order_join(max_perm(j0), max_perm(j1)))
 
 
+@lru_cache(maxsize=None)
+def hasse(n: int) -> tuple:
+    """The covers of each pair of ``enumerate_tbt(n)``, in that order, as
+    sorted ``(position, case)`` tuples: the target's position in
+    :func:`enumerate_tbt` and the :class:`PairCover` case.
+
+    >>> hasse(2)
+    ((), ((0, 'simultaneous'),))
+    """
+    pairs = enumerate_tbt(n)
+    index = {j: i for i, j in enumerate(pairs)}
+    return tuple(
+        tuple(sorted((index[c.target], c.case) for c in baxter_covers(j)))
+        for j in pairs
+    )
+
+
+def positions(mask: int):
+    """The positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        yield (mask & -mask).bit_length() - 1
+        mask &= mask - 1
+
+
 def hasse_dot(n: int) -> str:
-    """The cover digraph in DOT form, vertices and edges sorted."""
-    config.check_enum_degree(n)
-    pairs = sorted(enumerate_tbt(n), key=pair_str)
+    """The cover digraph in DOT form, vertices and edges in the canonical
+    order of :func:`enumerate_tbt` and :func:`hasse`."""
+    texts = [pair_str(j) for j in enumerate_tbt(n)]
     lines = [f'digraph "twin_tree_lattice_{n}" {{']
-    for j in pairs:
-        lines.append(f'  "{pair_str(j)}";')
-    edges = []
-    for j in pairs:
-        for cover in baxter_covers(j):
-            edges.append(f'  "{pair_str(j)}" -> "{pair_str(cover.target)}";')
-    lines.extend(sorted(edges))
+    lines += [f'  "{text}";' for text in texts]
+    lines += [f'  "{texts[i]}" -> "{texts[k]}";'
+              for i, covers in enumerate(hasse(n)) for k, _ in covers]
     lines.append("}")
     return "\n".join(lines)

@@ -13,6 +13,7 @@ right subtree).  Text form: ``.`` for the leaf, ``(L R)`` for a node,
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import le
 from typing import NamedTuple, Optional
 
 
@@ -373,7 +374,7 @@ def tamari_leq(t0, t1) -> bool:
     v0, v1 = tamari_vector(t0), tamari_vector(t1)
     if len(v0) != len(v1):
         raise ValueError("sizes differ")
-    return all(a <= b for a, b in zip(v0, v1))
+    return all(map(le, v0, v1))
 
 
 # ---------------------------------------------------------------------------

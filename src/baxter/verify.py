@@ -34,11 +34,12 @@ from .insertion import (
     q_symbol,
 )
 from .lattice import (
-    baxter_covers,
     baxter_join,
     baxter_leq,
     baxter_meet,
     enumerate_tbt,
+    hasse,
+    positions,
 )
 from .perms import (
     co_inversions,
@@ -692,10 +693,6 @@ def insertion_suite(max_n=5):
 # lattice
 
 
-def _sorted_pairs(n):
-    return sorted(enumerate_tbt(n), key=lambda j: (tree_str(j[0]), tree_str(j[1])))
-
-
 def lattice_suite(max_n=5):
     # The baxter_leq matrix of each degree is built once, as up-set and
     # down-set bit sets indexed by pair position, and the order checks
@@ -714,7 +711,7 @@ def lattice_suite(max_n=5):
     k = min(max_n, 5)
     orders = {}
     for d in range(1, m + 1):
-        pairs = _sorted_pairs(d)
+        pairs = enumerate_tbt(d)
         above, below = _order_sets(
             len(pairs), lambda a, b: baxter_leq(pairs[a], pairs[b]))
         orders[d] = pairs, above, below
@@ -730,7 +727,7 @@ def lattice_suite(max_n=5):
         pairs, above, _ = orders[d]
         least = [min_perm(j) for j in pairs]
         for a in range(len(pairs)):
-            for b in _bits(above[a]):
+            for b in positions(above[a]):
                 if not permutohedron_leq(least[a], least[b]):
                     consistent_ok = False
     checks.append(_check(
@@ -764,29 +761,22 @@ def lattice_suite(max_n=5):
 
     covers_ok = True
     for d in range(1, m + 1):
-        pairs, above, _ = orders[d]
-        for a, ja in enumerate(pairs):
+        _, above, _ = orders[d]
+        for a, covers in enumerate(hasse(d)):
             strictly_above = above[a] & ~(1 << a)
             reduction = set()
-            for b in _bits(strictly_above):
+            for b in positions(strictly_above):
                 if not any(
                     above[c] >> b & 1
-                    for c in _bits(strictly_above & ~(1 << b))
+                    for c in positions(strictly_above & ~(1 << b))
                 ):
-                    reduction.add(pairs[b])
-            computed = baxter_covers(ja)
-            targets = [c.target for c in computed]
+                    reduction.add(b)
+            targets = [k for k, _ in covers]
             if set(targets) != reduction or len(set(targets)) != len(targets):
                 covers_ok = False
     checks.append(_check(
         f"cover moves match the transitive reduction exactly (n <= {m})", covers_ok))
     return checks
-
-
-def _bits(mask):
-    while mask:
-        yield (mask & -mask).bit_length() - 1
-        mask &= mask - 1
 
 
 # ---------------------------------------------------------------------------
@@ -802,7 +792,7 @@ def _p_coproduct_linear(x):
 def hopf_suite(max_n=5):
     checks = []
     deg = min(max_n, 6)
-    pairs = {d: _sorted_pairs(d) for d in range(deg + 1)}
+    pairs = {d: enumerate_tbt(d) for d in range(deg + 1)}
 
     goldens_ok = (
         hopf.f_product(hopf.f_element((1,)), hopf.f_element((1,)))
@@ -1096,7 +1086,7 @@ def series_suite(max_n=5):
             "the degree-3 kernel is spanned by the difference of the two "
             "non-sylvester shapes", span_ok))
 
-    report = hopf.series_check(n, tp_nmax=tp_n)
+    report = hopf.series_check(n)
     checks.append(_check(
         f"counts match the reciprocal and ratio series degree by degree (n <= {n})",
         report.ok, "; ".join(report.failures)))

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -297,15 +300,16 @@ def test_order_sum_tables_need_a_join_for_every_set_of_covers(monkeypatch, basis
     # Keep only the covers out of the bottom pair of degree 3 (for E) or
     # into the top pair (for H): the two cones at their other ends are
     # then disjoint, so no pair is their join (meet).
-    bottom, top = p_shape((1, 2, 3)), p_shape((3, 2, 1))
-    real = hopf.baxter_covers
+    pairs = enumerate_tbt(3)
+    bottom, top = pairs.index(p_shape((1, 2, 3))), pairs.index(p_shape((3, 2, 1)))
+    real = hopf.hasse
 
-    def covers(j):
+    def covers(n):
         if basis == "E":
-            return real(j) if j == bottom else frozenset()
-        return frozenset(c for c in real(j) if c.target == top)
+            return tuple(row if i == bottom else () for i, row in enumerate(real(n)))
+        return tuple(tuple(c for c in row if c[0] == top) for row in real(n))
 
-    monkeypatch.setattr(hopf, "baxter_covers", covers)
+    monkeypatch.setattr(hopf, "hasse", covers)
     hopf.order_sum_tables.cache_clear()
     try:
         with pytest.raises(InternalInvariantError, match="cone"):
@@ -461,3 +465,41 @@ def test_degree_caps_guard_expensive_calls():
     small = p_shape(tuple(range(1, 4)))
     with pytest.raises(ValueError, match="PRODUCT_DEGREE_CAP"):
         p_product(big, small)
+
+
+def test_capped_products_check_the_degree_before_hashing_a_deep_pair():
+    # The cached products hash their pairs, and hashing a tree this deep
+    # recurses far enough in C to crash the interpreter, so each of the
+    # six capped products must reject it by degree first.
+    script = """
+from baxter import hopf
+from baxter.insertion import p_shape
+j = p_shape(tuple(range(1, 300001)))
+for name, args in (("p_product", (j, j)), ("p_coproduct", (j,)),
+                   ("e_product", (j, j)), ("h_product", (j, j)),
+                   ("dual_product", (j, j)), ("dual_coproduct", (j,))):
+    try:
+        getattr(hopf, name)(*args)
+    except ValueError as exc:
+        print(name, exc)
+"""
+    src = os.path.dirname(os.path.dirname(hopf.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split()[0] for line in lines] == [
+        "p_product", "p_coproduct", "e_product", "h_product",
+        "dual_product", "dual_coproduct"]
+    assert all("exceeds PRODUCT_DEGREE_CAP" in line for line in lines)
+
+
+def test_capped_p_product_keeps_its_cache_counters():
+    before = p_product.cache_info()
+    p_product(J1, J12)
+    p_product(J1, J12)
+    after = p_product.cache_info()
+    assert after.hits > before.hits
+    assert after.currsize >= 1

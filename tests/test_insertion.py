@@ -9,6 +9,7 @@ from baxter.congruence import congruence_class
 from baxter.insertion import (
     _infix_edges,
     baxter_representative,
+    check_twin_pair,
     class_of_pair,
     is_twin_pair,
     max_perm,
@@ -107,6 +108,22 @@ def test_is_twin_pair():
     assert not is_twin_pair((one, None)) and not is_twin_pair((None, one))
     _, right = p_shape((1, 2))
     assert not is_twin_pair((one, right)) and not is_twin_pair((right, one))
+
+
+def test_check_twin_pair_is_the_one_twin_pair_check():
+    from baxter.hopf import p_element, pair_over
+    from baxter.lattice import baxter_covers
+
+    good = p_shape((2, 1, 4, 3))
+    assert check_twin_pair(good) is good
+    left, _ = p_shape((1, 2, 3))
+    bad = (left, left)
+    message = f"not a twin pair: {pair_str(bad)}"
+    for call in (check_twin_pair, class_of_pair, baxter_covers, p_element,
+                 lambda j: pair_over(good, j)):
+        with pytest.raises(ValueError) as info:
+            call(bad)
+        assert str(info.value) == message
 
 
 def test_every_shape_has_complementary_canopies():

@@ -11,6 +11,7 @@ from baxter.lattice import (
     baxter_leq,
     baxter_meet,
     enumerate_tbt,
+    hasse,
     hasse_dot,
 )
 from baxter.perms import permutohedron_leq
@@ -23,6 +24,18 @@ def all_perms(n):
 
 def test_enumeration_counts():
     assert [len(enumerate_tbt(n)) for n in range(6)] == [1, 1, 2, 6, 22, 92]
+
+
+def test_enumeration_is_in_pair_text_order_and_hasse_lists_the_sorted_covers():
+    for n in range(7):
+        pairs = enumerate_tbt(n)
+        texts = [pair_str(j) for j in pairs]
+        assert texts == sorted(set(texts))
+        listing = [[(texts[k], case) for k, case in row] for row in hasse(n)]
+        assert listing == [
+            sorted((pair_str(c.target), c.case) for c in baxter_covers(j))
+            for j in pairs
+        ]
 
 
 def test_enumeration_matches_insertion_shapes():
