@@ -53,6 +53,8 @@ def cmd_insert(args):
     left, right = p_symbol(u)
     q = q_symbol(u)
     shape = p_shape(u)
+    # the empty pair has empty canopies, as trees_by_canopy(0) keys it
+    canopies = [canopy(t) if u else "" for t in shape]
     payload = {
         "word": word_str(u),
         "left_tree": ltree_str(left),
@@ -60,8 +62,8 @@ def cmd_insert(args):
         "left_shape": tree_str(shape[0]),
         "right_shape": tree_str(shape[1]),
         "pair": pair_str(shape),
-        "left_canopy": canopy(shape[0]),
-        "right_canopy": canopy(shape[1]),
+        "left_canopy": canopies[0],
+        "right_canopy": canopies[1],
         "q_tree": ltree_str(q),
     }
     _emit(args, payload, [f"{k}: {v}" for k, v in payload.items()])

@@ -13,6 +13,13 @@ basis; a tensor is an :class:`Element` whose basis is a tuple of names
 and whose keys are tuples of keys.  All coefficients are exact
 ``fractions.Fraction`` values.  Terms are kept in no particular order
 and are put in canonical (degree, key text) order only when printed.
+
+One table, ``_BASES``, names the key kind and the key product of each
+basis; ``_CLASSES`` gives the class key and the members of a class for
+the class-sum bases ``P`` and ``Psylv``, which :func:`collect` reads.
+Every termwise map between bases (``theta``, ``phi``, ``psi``,
+``rho_linear``, the F and Fstar coproducts) is :func:`linear`, the one
+change of basis and the one check of its input's basis.
 """
 
 from __future__ import annotations
@@ -50,20 +57,31 @@ from .trees import (
 )
 from .words import shifted_shuffle, standardize, word_str
 
-# basis name -> what its keys are
-_KEY_KIND = {
-    "F": "perm",
-    "Fstar": "perm",
-    "P": "pair",
-    "E": "pair",
-    "H": "pair",
-    "Pstar": "pair",
-    "Psylv": "tree",
+# basis name -> (what its keys are, name of the product of two keys).
+# Names are looked up in the module at call time, so a wrapper installed
+# on e.g. ``hopf.p_product`` sees the products made through
+# :func:`element_product` too.
+_BASES = {
+    "F": ("perm", "_f_key_product"),
+    "Fstar": ("perm", "_fstar_key_product"),
+    "P": ("pair", "p_product"),
+    "E": ("pair", "e_product"),
+    "H": ("pair", "h_product"),
+    "Pstar": ("pair", "dual_product"),
+    "Psylv": ("tree", "_sylv_key_product"),
+}
+
+# class-sum basis -> (name of the map from a permutation to the key of
+# its class, name of the map from a key to the members of its class);
+# looked up at call time, as in ``_BASES``
+_CLASSES = {
+    "P": ("p_shape", "class_of_pair"),
+    "Psylv": ("_right_shape", "sylvester_class_of_tree"),
 }
 
 
 def key_degree(basis: str, key) -> int:
-    kind = _KEY_KIND[basis]
+    kind = _BASES[basis][0]
     if kind == "perm":
         return len(key)
     if kind == "pair":
@@ -72,7 +90,7 @@ def key_degree(basis: str, key) -> int:
 
 
 def key_str(basis: str, key) -> str:
-    kind = _KEY_KIND[basis]
+    kind = _BASES[basis][0]
     if kind == "perm":
         return word_str(key)
     if kind == "pair":
@@ -103,7 +121,7 @@ class Element:
         if not isinstance(basis, str):
             basis = tuple(basis)
         for name in _names(basis):
-            if name not in _KEY_KIND:
+            if name not in _BASES:
                 raise ValueError(f"unknown basis {name!r}")
         acc = {}
         items = terms.items() if hasattr(terms, "items") else terms
@@ -192,7 +210,7 @@ class Element:
 
 def one(basis: str) -> Element:
     """The unit element (empty key) of a basis."""
-    kind = _KEY_KIND[basis]
+    kind = _BASES[basis][0]
     key = () if kind == "perm" else (None, None) if kind == "pair" else None
     return Element(basis, {key: 1})
 
@@ -213,6 +231,19 @@ def sylv_element(t, coeff=1) -> Element:
     return Element("Psylv", {t: coeff})
 
 
+def linear(x: Element, source, target, image) -> Element:
+    """Extend a map on basis keys linearly: the one termwise change of basis.
+
+    ``image(key)`` lists ``(key', d)`` pairs in ``target`` for a key of
+    ``source``; each term ``c`` of ``x`` at ``key`` becomes ``c * d`` at
+    each ``key'``.  Raises ``ValueError`` unless ``x`` is in ``source``.
+    """
+    if x.basis != source:
+        raise ValueError(f"needs an element of basis {source}, not {x.basis}")
+    return Element(target, [
+        (k, c * d) for key, c in x.terms.items() for k, d in image(key)])
+
+
 # ---------------------------------------------------------------------------
 # the F basis: shifted shuffle / deconcatenation
 
@@ -229,13 +260,10 @@ def f_product(x: Element, y: Element) -> Element:
 
 
 def _deconcatenate(x: Element, cuts) -> Element:
-    """Split each term ``s`` of ``x`` at every ``i`` in ``cuts(s)`` and
-    standardize both parts."""
-    acc = []
-    for s, c in x.terms.items():
-        for i in cuts(s):
-            acc.append(((standardize(s[:i]), standardize(s[i:])), c))
-    return Element(("F", "F"), acc)
+    """Split each term ``s`` of the F-element ``x`` at every ``i`` in
+    ``cuts(s)`` and standardize both parts."""
+    return linear(x, "F", ("F", "F"), lambda s: [
+        ((standardize(s[:i]), standardize(s[i:])), 1) for i in cuts(s)])
 
 
 def _after_max(s) -> int:
@@ -245,8 +273,6 @@ def _after_max(s) -> int:
 
 def f_coproduct(x: Element) -> Element:
     """Coproduct in the F basis: deconcatenate and standardize each part."""
-    if x.basis != "F":
-        raise ValueError("f_coproduct needs an F-basis element")
     return _deconcatenate(x, lambda s: range(len(s) + 1))
 
 
@@ -279,15 +305,11 @@ def f_succ(x: Element, y: Element) -> Element:
 
 def f_coproduct_left(x: Element) -> Element:
     """Half coproduct: proper splits keeping the maximal letter left."""
-    if x.basis != "F":
-        raise ValueError("dendriform operations need F-basis elements")
     return _deconcatenate(x, lambda s: range(_after_max(s), len(s)))
 
 
 def f_coproduct_right(x: Element) -> Element:
     """Half coproduct: proper splits keeping the maximal letter right."""
-    if x.basis != "F":
-        raise ValueError("dendriform operations need F-basis elements")
     return _deconcatenate(x, lambda s: range(1, _after_max(s)))
 
 
@@ -295,36 +317,37 @@ def f_coproduct_right(x: Element) -> Element:
 # the P basis: class sums over twin pairs
 
 
+def _class_sum(basis: str, key) -> Element:
+    """Expand the class sum at ``key`` of a class-sum basis into F."""
+    members = globals()[_CLASSES[basis][1]]
+    return Element("F", {s: 1 for s in members(key)})
+
+
 def p_to_f(pair) -> Element:
     """Expand P over a twin pair as the class sum of F terms."""
-    return Element("F", {s: 1 for s in class_of_pair(pair)})
+    return _class_sum("P", pair)
 
 
 def theta(x: Element) -> Element:
     """Expand a P-element into the F basis (the subalgebra inclusion)."""
-    if x.basis != "P":
-        raise ValueError("theta needs a P-basis element")
-    acc = []
-    for j, c in x.terms.items():
-        for s in class_of_pair(j):
-            acc.append((s, c))
-    return Element("F", acc)
+    return linear(x, "P", "F", lambda j: [(s, 1) for s in class_of_pair(j)])
 
 
-def collect(x: Element, basis: str, shape, members) -> Element:
+def collect(x: Element, basis: str) -> Element:
     """Rewrite an F-element, or a tensor of F factors, as class sums, or raise.
 
-    ``shape`` maps a permutation to the key of its class in ``basis`` and
-    ``members`` lists the permutations of a class; on a tensor both act
-    factor by factor and every factor of the result is in ``basis``.
-    Raises :class:`NotInSubalgebraError`, with ``pair`` set to the
-    offending class key, when some class does not carry a constant
-    coefficient.
+    ``basis`` is a class-sum basis of ``_CLASSES``, which maps a
+    permutation to the key of its class and lists the members of a
+    class; on a tensor both act factor by factor and every factor of the
+    result is in ``basis``.  Raises :class:`NotInSubalgebraError`, with
+    ``pair`` set to the offending class key, when some class does not
+    carry a constant coefficient.
     """
     tensor = not isinstance(x.basis, str)
     names = _names(x.basis)
     if set(names) != {"F"}:
         raise ValueError("only F-basis elements collect into class sums")
+    shape, members = (globals()[name] for name in _CLASSES[basis])
     remaining = dict(x.terms)
     out = {}
     while remaining:
@@ -342,51 +365,57 @@ def collect(x: Element, basis: str, shape, members) -> Element:
     return Element((basis,) * len(names) if tensor else basis, out)
 
 
+def _collected(x: Element, basis: str, what: str) -> Element:
+    """``collect(x, basis)``, where a failure to collect is a bug."""
+    try:
+        return collect(x, basis)
+    except NotInSubalgebraError as exc:
+        raise InternalInvariantError(f"{what} failed to collect: {exc}") from exc
+
+
+def _class_product(basis: str, k0, k1) -> Element:
+    """Product of two class sums of ``basis``, collected back into it."""
+    expanded = element_product(_class_sum(basis, k0), _class_sum(basis, k1))
+    return _collected(expanded, basis, "product of class sums")
+
+
 def f_collect_to_p(x: Element) -> Element:
     """Rewrite an F-element, or an F(x)F tensor, in the P basis, or raise."""
-    return collect(x, "P", p_shape, class_of_pair)
+    return collect(x, "P")
 
 
-def _check_degree(*pairs):
-    config.check_product_degree(sum(tree_size(j[0]) for j in pairs))
+def _check_degree(basis: str, *keys):
+    config.check_product_degree(sum(key_degree(basis, k) for k in keys))
 
 
-def _capped_cache(fn):
-    """Cache ``fn``, an operation on twin pairs, checking the degree cap
-    first: the cache hashes the pairs, which recurses in C and crashes
-    on deep enough trees."""
-    cached = lru_cache(maxsize=None)(fn)
+def _capped_cache(basis: str):
+    """Cache an operation on keys of ``basis``, checking the degree cap
+    first: the cache hashes the keys, which recurses in C and crashes on
+    deep enough trees."""
 
-    @wraps(fn)
-    def checked(*pairs):
-        _check_degree(*pairs)
-        return cached(*pairs)
+    def decorate(fn):
+        cached = lru_cache(maxsize=None)(fn)
 
-    checked.cache_info, checked.cache_clear = cached.cache_info, cached.cache_clear
-    return checked
+        @wraps(fn)
+        def checked(*keys):
+            _check_degree(basis, *keys)
+            return cached(*keys)
+
+        checked.cache_info, checked.cache_clear = cached.cache_info, cached.cache_clear
+        return checked
+    return decorate
 
 
-@_capped_cache
+@_capped_cache("P")
 def p_product(j0, j1) -> Element:
     """Product of two P basis elements, collected back into P."""
-    expanded = element_product(p_to_f(j0), p_to_f(j1))
-    try:
-        return f_collect_to_p(expanded)
-    except NotInSubalgebraError as exc:
-        raise InternalInvariantError(
-            f"product of class sums failed to collect: {exc}"
-        ) from exc
+    return _class_product("P", j0, j1)
 
 
-@_capped_cache
+@_capped_cache("P")
 def p_coproduct(j) -> Element:
     """Coproduct of a P basis element, collected into P(x)P."""
-    try:
-        return f_collect_to_p(f_coproduct(p_to_f(j)))
-    except NotInSubalgebraError as exc:
-        raise InternalInvariantError(
-            f"coproduct of a class sum failed to collect: {exc}"
-        ) from exc
+    return _collected(f_coproduct(p_to_f(j)), "P", "coproduct of a class sum")
 
 
 # ---------------------------------------------------------------------------
@@ -460,13 +489,13 @@ def p_from_h(n: int):
 
 def e_product(j0, j1) -> Element:
     """Product of two E basis elements: the single graft ``E[pair_over]``."""
-    _check_degree(j0, j1)
+    _check_degree("E", j0, j1)
     return Element("E", {pair_over(j0, j1): 1})
 
 
 def h_product(j0, j1) -> Element:
     """Product of two H basis elements: the single graft ``H[pair_under]``."""
-    _check_degree(j0, j1)
+    _check_degree("H", j0, j1)
     return Element("H", {pair_under(j0, j1): 1})
 
 
@@ -514,18 +543,22 @@ def connected_pairs(n: int) -> frozenset:
 
 def sylv_to_f(t) -> Element:
     """Expand the sylvester class sum over a right-tree shape into F."""
-    return Element("F", {s: 1 for s in sylvester_class_of_tree(t)})
+    return _class_sum("Psylv", t)
+
+
+def _right_shape(s):
+    """The key of the sylvester class of a permutation: its right tree."""
+    return p_shape(s)[1]
 
 
 def f_collect_to_sylv(x: Element) -> Element:
     """Rewrite an F-element as sylvester class sums, or raise."""
-    return collect(x, "Psylv", lambda s: p_shape(s)[1], sylvester_class_of_tree)
+    return collect(x, "Psylv")
 
 
-@lru_cache(maxsize=None)
+@_capped_cache("Psylv")
 def _sylv_key_product(t0, t1) -> Element:
-    config.check_product_degree(tree_size(t0) + tree_size(t1))
-    return f_collect_to_sylv(element_product(sylv_to_f(t0), sylv_to_f(t1)))
+    return _class_product("Psylv", t0, t1)
 
 
 def rho(t) -> Element:
@@ -543,10 +576,7 @@ def rho(t) -> Element:
 
 def rho_linear(x: Element) -> Element:
     """Apply ``rho`` linearly to a Psylv element."""
-    if x.basis != "Psylv":
-        raise ValueError("rho_linear needs a Psylv-basis element")
-    return Element("P", [
-        (j, c * d) for t, c in x.terms.items() for j, d in rho(t).terms.items()])
+    return linear(x, "Psylv", "P", lambda t: rho(t).terms.items())
 
 
 # ---------------------------------------------------------------------------
@@ -577,44 +607,34 @@ def fstar_product(x: Element, y: Element) -> Element:
 def fstar_coproduct(x: Element) -> Element:
     """Coproduct in Fstar: split by value intervals (dual to the shifted
     shuffle)."""
-    if x.basis != "Fstar":
-        raise ValueError("fstar_coproduct needs an Fstar-basis element")
-    acc = []
-    for s, c in x.terms.items():
-        for k in range(len(s) + 1):
-            left = tuple(a for a in s if a <= k)
-            right = standardize(tuple(a for a in s if a > k))
-            acc.append(((left, right), c))
-    return Element(("Fstar", "Fstar"), acc)
+    return linear(x, "Fstar", ("Fstar", "Fstar"), lambda s: [
+        ((tuple(a for a in s if a <= k), standardize(tuple(a for a in s if a > k))), 1)
+        for k in range(len(s) + 1)])
 
 
 def phi(x: Element) -> Element:
     """Project Fstar onto Pstar: each permutation maps to its class's
     dual basis element, coefficients adding."""
-    if x.basis != "Fstar":
-        raise ValueError("phi needs an Fstar-basis element")
-    return Element("Pstar", [(p_shape(s), c) for s, c in x.terms.items()])
+    return linear(x, "Fstar", "Pstar", lambda s: [(p_shape(s), 1)])
 
 
 def psi(x: Element) -> Element:
     """The isomorphism F -> Fstar inverting each permutation."""
-    if x.basis != "F":
-        raise ValueError("psi needs an F-basis element")
-    return Element("Fstar", [(perm_inverse(s), c) for s, c in x.terms.items()])
+    return linear(x, "F", "Fstar", lambda s: [(perm_inverse(s), 1)])
 
 
 def dual_product(j0, j1) -> Element:
     """Product of Pstar basis elements via any class representatives."""
-    _check_degree(j0, j1)
+    _check_degree("Pstar", j0, j1)
     return phi(_fstar_key_product(min_perm(j0), min_perm(j1)))
 
 
 def dual_coproduct(j) -> Element:
     """Coproduct of a Pstar basis element via any class representative."""
-    _check_degree(j)
+    _check_degree("Pstar", j)
     tx = fstar_coproduct(fstar_element(min_perm(j)))
-    acc = [(((p_shape(a), p_shape(b))), c) for (a, b), c in tx.terms.items()]
-    return Element(("Pstar", "Pstar"), acc)
+    return linear(tx, ("Fstar", "Fstar"), ("Pstar", "Pstar"),
+                  lambda ab: [((p_shape(ab[0]), p_shape(ab[1])), 1)])
 
 
 def phi_psi_theta(x: Element) -> Element:
@@ -663,6 +683,8 @@ def baxter_numbers(nmax: int):
     >>> baxter_numbers(5)
     [1, 1, 2, 6, 22, 92]
     """
+    if nmax < 0:
+        raise ValueError("n must be nonnegative")
     return [len(enumerate_tbt(k)) for k in range(nmax + 1)]
 
 
@@ -751,7 +773,7 @@ def element_product(x: Element, y: Element) -> Element:
     if not isinstance(y, Element) or x.basis != y.basis:
         raise ValueError("can only multiply elements of the same basis")
     tensor = not isinstance(x.basis, str)
-    products = [globals()[_KEY_PRODUCTS[name]] for name in _names(x.basis)]
+    products = [globals()[_BASES[name][1]] for name in _names(x.basis)]
     acc = []
     for a, c in x.terms.items():
         for b, d in y.terms.items():
@@ -768,16 +790,3 @@ def element_product(x: Element, y: Element) -> Element:
 
 tensor_product = element_product
 
-
-# basis name -> name of the product of two keys; looked up in the module
-# at call time, so a wrapper installed on e.g. ``hopf.p_product`` sees
-# the products made through :func:`element_product` too
-_KEY_PRODUCTS = {
-    "F": "_f_key_product",
-    "Fstar": "_fstar_key_product",
-    "P": "p_product",
-    "E": "e_product",
-    "H": "h_product",
-    "Pstar": "dual_product",
-    "Psylv": "_sylv_key_product",
-}

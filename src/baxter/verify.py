@@ -783,12 +783,6 @@ def lattice_suite(max_n=5):
 # hopf
 
 
-def _p_coproduct_linear(x):
-    return hopf.Element(("P", "P"), [
-        (k, c * d) for j, c in x.terms.items()
-        for k, d in hopf.p_coproduct(j).terms.items()])
-
-
 def hopf_suite(max_n=5):
     checks = []
     deg = min(max_n, 6)
@@ -854,17 +848,11 @@ def hopf_suite(max_n=5):
     for d in range(deg + 1):
         for j in pairs[d]:
             delta = hopf.p_coproduct(j)
-            left = {}
-            right = {}
-            for (a, b), c in delta.terms.items():
-                for (a1, a2), c2 in hopf.p_coproduct(a).terms.items():
-                    key = (a1, a2, b)
-                    left[key] = left.get(key, 0) + c * c2
-                for (b1, b2), c2 in hopf.p_coproduct(b).terms.items():
-                    key = (a, b1, b2)
-                    right[key] = right.get(key, 0) + c * c2
-            if ({k: v for k, v in left.items() if v}
-                    != {k: v for k, v in right.items() if v}):
+            left = hopf.linear(delta, ("P", "P"), ("P",) * 3, lambda ab: [
+                ((a1, a2, ab[1]), c) for (a1, a2), c in hopf.p_coproduct(ab[0]).terms.items()])
+            right = hopf.linear(delta, ("P", "P"), ("P",) * 3, lambda ab: [
+                ((ab[0], b1, b2), c) for (b1, b2), c in hopf.p_coproduct(ab[1]).terms.items()])
+            if left != right:
                 coassoc_ok = False
             lhs = hopf.Element("P", {b: c for (a, b), c in delta.terms.items() if a == unit})
             rhs = hopf.Element("P", {a: c for (a, b), c in delta.terms.items() if b == unit})
@@ -878,7 +866,8 @@ def hopf_suite(max_n=5):
         for d1 in range(1, deg + 1 - d0):
             for j0 in pairs[d0]:
                 for j1 in pairs[d1]:
-                    lhs = _p_coproduct_linear(hopf.p_product(j0, j1))
+                    lhs = hopf.linear(hopf.p_product(j0, j1), "P", ("P", "P"),
+                                      lambda j: hopf.p_coproduct(j).terms.items())
                     rhs = hopf.element_product(hopf.p_coproduct(j0), hopf.p_coproduct(j1))
                     if lhs != rhs:
                         compat_ok = False
@@ -910,10 +899,8 @@ def hopf_suite(max_n=5):
         e_tab, pe_tab = hopf.e_from_p(d), hopf.p_from_e(d)
         h_tab, ph_tab = hopf.h_from_p(d), hopf.p_from_h(d)
         for j in pairs[d]:
-            for tab, back_tab in ((e_tab, pe_tab), (h_tab, ph_tab)):
-                back = hopf.Element("P", [
-                    (i, c * w) for k, c in back_tab[j].terms.items()
-                    for i, w in tab[k].terms.items()])
+            for name, tab, back_tab in (("E", e_tab, pe_tab), ("H", h_tab, ph_tab)):
+                back = hopf.linear(back_tab[j], name, "P", lambda k: tab[k].terms.items())
                 if back != hopf.p_element(j):
                     tables_ok = False
     checks.append(_check("order-sum base changes are exact inverses", tables_ok))
@@ -979,9 +966,8 @@ def hopf_suite(max_n=5):
         for s in all_perms(a):
             lhs = hopf.fstar_coproduct(hopf.psi(hopf.f_element(s)))
             tx = hopf.f_coproduct(hopf.f_element(s))
-            rhs = hopf.Element(
-                ("Fstar", "Fstar"),
-                [((inverse(u), inverse(v)), c) for (u, v), c in tx.terms.items()])
+            rhs = hopf.linear(tx, ("F", "F"), ("Fstar", "Fstar"),
+                              lambda uv: [((inverse(uv[0]), inverse(uv[1])), 1)])
             if lhs != rhs:
                 psi_ok = False
     checks.append(_check(
@@ -1007,9 +993,8 @@ def hopf_suite(max_n=5):
             results = set()
             for s in class_of_pair(j):
                 tx = hopf.fstar_coproduct(hopf.fstar_element(s))
-                results.add(hopf.Element(
-                    ("Pstar", "Pstar"),
-                    [((p_shape(a), p_shape(b)), c) for (a, b), c in tx.terms.items()]))
+                results.add(hopf.linear(tx, ("Fstar", "Fstar"), ("Pstar", "Pstar"),
+                                        lambda ab: [((p_shape(ab[0]), p_shape(ab[1])), 1)]))
             if results != {hopf.dual_coproduct(j)}:
                 rep_ok = False
     checks.append(_check(

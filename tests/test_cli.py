@@ -275,6 +275,27 @@ def test_dims_plain_is_tab_separated(capsys):
     assert lines[-1].split("\t") == ["3", "6", "3", "1"]
 
 
+@pytest.mark.parametrize("flags", [(), ("--plain",)])
+def test_dims_rejects_a_negative_bound(capsys, flags):
+    code, out, err = run_cli(capsys, "dims", "-1", *flags)
+    assert code == 2
+    assert out == ""
+    assert err == "error: n must be nonnegative\n"
+
+
+@pytest.mark.parametrize("flags", [(), ("--plain",)])
+def test_insert_empty_word_gives_the_empty_pair(capsys, flags):
+    code, out, err = run_cli(capsys, "insert", "e", *flags)
+    assert code == 0 and err == ""
+    if flags:
+        assert "pair: [ . | . ]" in out.splitlines()
+        return
+    payload = json.loads(out)
+    assert payload["word"] == "e"
+    assert payload["pair"] == "[ . | . ]"
+    assert (payload["left_canopy"], payload["right_canopy"]) == ("", "")
+
+
 def test_primitives(capsys):
     code, out, _ = run_cli(capsys, "primitives", "3")
     assert code == 0

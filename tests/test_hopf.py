@@ -261,6 +261,47 @@ def test_element_product_calls_the_module_p_product(monkeypatch):
     assert calls == [(J21, J21)]
 
 
+@pytest.mark.parametrize("fn, source, target", [
+    (theta, "P", "F"),
+    (rho_linear, "Psylv", "P"),
+    (phi, "Fstar", "Pstar"),
+    (psi, "F", "Fstar"),
+    (f_coproduct, "F", ("F", "F")),
+    (f_coproduct_left, "F", ("F", "F")),
+    (f_coproduct_right, "F", ("F", "F")),
+    (fstar_coproduct, "Fstar", ("Fstar", "Fstar")),
+])
+def test_termwise_maps_check_their_basis_in_linear(fn, source, target):
+    wrong = Element("Fstar" if source == "F" else "F", {(1,): 1})
+    with pytest.raises(ValueError, match=f"needs an element of basis {source},"):
+        fn(wrong)
+    assert fn(Element(source)) == Element(target)
+    assert hopf.linear(Element(source), source, target, pytest.fail) == Element(target)
+
+
+@pytest.mark.parametrize("basis, members, product, x", [
+    ("P", "class_of_pair", "p_product", p_element(J21)),
+    ("Psylv", "sylvester_class_of_tree", "_sylv_key_product",
+     sylv_element(parse_tree("((. .) .)"))),
+])
+def test_class_products_that_fail_to_collect_are_internal_errors(
+        monkeypatch, basis, members, product, x):
+    real = getattr(hopf, members)
+
+    def short(key):
+        found = sorted(real(key))
+        return frozenset(found[1:] if len(found) > 1 else found)
+
+    monkeypatch.setattr(hopf, members, short)
+    cached = getattr(hopf, product)
+    cached.cache_clear()
+    try:
+        with pytest.raises(InternalInvariantError, match="failed to collect"):
+            element_product(x, x)
+    finally:
+        cached.cache_clear()
+
+
 def test_element_coefficients_are_exact_fractions():
     third = Fraction(1, 3)
     x = Element("P", [(J1, third), (J1, 2), (J12, 1)])
