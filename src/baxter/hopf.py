@@ -58,9 +58,7 @@ from .trees import (
 from .words import shifted_shuffle, standardize, word_str
 
 # basis name -> (what its keys are, name of the product of two keys).
-# Names are looked up in the module at call time, so a wrapper installed
-# on e.g. ``hopf.p_product`` sees the products made through
-# :func:`element_product` too.
+# Names resolve at call time, so a wrapper set on the module sees every call.
 _BASES = {
     "F": ("perm", "_f_key_product"),
     "Fstar": ("perm", "_fstar_key_product"),
@@ -71,9 +69,8 @@ _BASES = {
     "Psylv": ("tree", "_sylv_key_product"),
 }
 
-# class-sum basis -> (name of the map from a permutation to the key of
-# its class, name of the map from a key to the members of its class);
-# looked up at call time, as in ``_BASES``
+# class-sum basis -> names of (the class key of a permutation, the
+# members of a class), resolved at call time as in ``_BASES``
 _CLASSES = {
     "P": ("p_shape", "class_of_pair"),
     "Psylv": ("_right_shape", "sylvester_class_of_tree"),
@@ -130,8 +127,11 @@ class Element:
                 coeff = Fraction(coeff)
             old = acc.get(key)
             acc[key] = coeff if old is None else old + coeff
+        # delete the zeros in place: copying would hash every key again
+        for key in [k for k, c in acc.items() if not c]:
+            del acc[key]
         self.basis = basis
-        self.terms = {k: c for k, c in acc.items() if c}
+        self.terms = acc
 
     def __eq__(self, other):
         return (
@@ -240,8 +240,9 @@ def linear(x: Element, source, target, image) -> Element:
     """
     if x.basis != source:
         raise ValueError(f"needs an element of basis {source}, not {x.basis}")
+    # most images are unit: skip the Fraction multiply ``c * 1``
     return Element(target, [
-        (k, c * d) for key, c in x.terms.items() for k, d in image(key)])
+        (k, c if d == 1 else c * d) for key, c in x.terms.items() for k, d in image(key)])
 
 
 # ---------------------------------------------------------------------------
@@ -317,20 +318,21 @@ def f_coproduct_right(x: Element) -> Element:
 # the P basis: class sums over twin pairs
 
 
-def _class_sum(basis: str, key) -> Element:
-    """Expand the class sum at ``key`` of a class-sum basis into F."""
+def _class_sums(basis: str, x: Element) -> Element:
+    """Expand an element of a class-sum basis into F, each class sum
+    into the F terms of its members."""
     members = globals()[_CLASSES[basis][1]]
-    return Element("F", {s: 1 for s in members(key)})
+    return linear(x, basis, "F", lambda key: [(s, 1) for s in members(key)])
 
 
 def p_to_f(pair) -> Element:
     """Expand P over a twin pair as the class sum of F terms."""
-    return _class_sum("P", pair)
+    return _class_sums("P", Element("P", {pair: 1}))
 
 
 def theta(x: Element) -> Element:
     """Expand a P-element into the F basis (the subalgebra inclusion)."""
-    return linear(x, "P", "F", lambda j: [(s, 1) for s in class_of_pair(j)])
+    return _class_sums("P", x)
 
 
 def collect(x: Element, basis: str) -> Element:
@@ -375,8 +377,8 @@ def _collected(x: Element, basis: str, what: str) -> Element:
 
 def _class_product(basis: str, k0, k1) -> Element:
     """Product of two class sums of ``basis``, collected back into it."""
-    expanded = element_product(_class_sum(basis, k0), _class_sum(basis, k1))
-    return _collected(expanded, basis, "product of class sums")
+    x0, x1 = (_class_sums(basis, Element(basis, {k: 1})) for k in (k0, k1))
+    return _collected(element_product(x0, x1), basis, "product of class sums")
 
 
 def f_collect_to_p(x: Element) -> Element:
@@ -543,7 +545,7 @@ def connected_pairs(n: int) -> frozenset:
 
 def sylv_to_f(t) -> Element:
     """Expand the sylvester class sum over a right-tree shape into F."""
-    return _class_sum("Psylv", t)
+    return _class_sums("Psylv", sylv_element(t))
 
 
 def _right_shape(s):

@@ -279,6 +279,13 @@ def test_termwise_maps_check_their_basis_in_linear(fn, source, target):
     assert hopf.linear(Element(source), source, target, pytest.fail) == Element(target)
 
 
+def test_linear_multiplies_coefficients():
+    x = Element("F", {(1, 2): 2, (2, 1): Fraction(1, 2)})
+    out = hopf.linear(x, "F", "Fstar", lambda s: [(s, 3), (s[::-1], 1)])
+    assert out == Element("Fstar", {(1, 2): Fraction(13, 2), (2, 1): Fraction(7, 2)})
+    assert all(isinstance(c, Fraction) for c in out.terms.values())
+
+
 @pytest.mark.parametrize("basis, members, product, x", [
     ("P", "class_of_pair", "p_product", p_element(J21)),
     ("Psylv", "sylvester_class_of_tree", "_sylv_key_product",
