@@ -19,7 +19,11 @@ def rational_str(q) -> str:
     '-1/2'
     >>> rational_str(Fraction(4, 2))
     '2'
+    >>> rational_str(-5)
+    '-5'
     """
+    if type(q) is int:
+        return str(q)
     q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)

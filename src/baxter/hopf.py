@@ -10,9 +10,13 @@ congruence (shapes of single right trees), which embed via ``rho``.
 
 Elements are finite rational linear combinations of keys in one named
 basis; a tensor is an :class:`Element` whose basis is a tuple of names
-and whose keys are tuples of keys.  All coefficients are exact
-``fractions.Fraction`` values.  Terms are kept in no particular order
-and are put in canonical (degree, key text) order only when printed.
+and whose keys are tuples of keys.  Coefficients are exact and in one
+normal form: an ``int`` when the value is integral, a
+``fractions.Fraction`` otherwise, never a ``float``.  Nearly every
+coefficient of this algebra is an integer, so products and changes of
+basis run in ``int`` arithmetic; every division is made in ``Fraction``.
+Terms are kept in no particular order and are put in canonical (degree,
+key text) order only when printed.
 
 One table, ``_BASES``, names the key kind and the key product of each
 basis; ``_CLASSES`` gives the class key and the members of a class for
@@ -101,6 +105,16 @@ def _names(basis):
     return (basis,) if isinstance(basis, str) else basis
 
 
+def _exact(value):
+    """``value`` as an exact rational in normal form: an ``int`` when it
+    is integral, a ``Fraction`` otherwise."""
+    if type(value) is int:
+        return value
+    value = Fraction(value)
+    # not ``is_integer()``, which ``Fraction`` only has from Python 3.12
+    return value.numerator if value.denominator == 1 else value
+
+
 class Element:
     """A finitely supported map from basis keys to nonzero rationals.
 
@@ -109,7 +123,10 @@ class Element:
     basis key per factor.  Mixed degrees are fine.  ``terms`` is a plain
     dict in no particular order; :meth:`canonical_terms` puts it in the
     canonical (degree, key text) order, which is how every printed form
-    lists terms, so equal elements print identically.
+    lists terms, so equal elements print identically.  Each coefficient
+    is an ``int`` when it is integral and a ``Fraction`` otherwise (see
+    :func:`_exact`); a ``float`` input becomes the ``Fraction`` of its
+    exact binary value.
     """
 
     __slots__ = ("basis", "terms")
@@ -123,13 +140,18 @@ class Element:
         acc = {}
         items = terms.items() if hasattr(terms, "items") else terms
         for key, coeff in items:
-            if not isinstance(coeff, Fraction):
-                coeff = Fraction(coeff)
+            if type(coeff) is not int:
+                coeff = _exact(coeff)
             old = acc.get(key)
             acc[key] = coeff if old is None else old + coeff
-        # delete the zeros in place: copying would hash every key again
-        for key in [k for k, c in acc.items() if not c]:
-            del acc[key]
+        # drop the zeros and put Fraction sums in normal form in place:
+        # copying would hash every key again
+        for key in [k for k, c in acc.items() if not c or type(c) is not int]:
+            c = _exact(acc[key])
+            if c:
+                acc[key] = c
+            else:
+                del acc[key]
         self.basis = basis
         self.terms = acc
 
@@ -160,7 +182,7 @@ class Element:
         return self + (-other)
 
     def __rmul__(self, scalar):
-        scalar = Fraction(scalar)
+        scalar = _exact(scalar)
         return Element(self.basis, {k: scalar * c for k, c in self.terms.items()})
 
     def __mul__(self, other):
@@ -169,7 +191,9 @@ class Element:
         return self.__rmul__(other)
 
     def coeff(self, key) -> Fraction:
-        return self.terms.get(key, Fraction(0))
+        """The coefficient at ``key`` (0 off the support), always as a
+        ``Fraction``, whichever form ``terms`` holds it in."""
+        return Fraction(self.terms.get(key, 0))
 
     def support(self):
         return set(self.terms)
@@ -240,7 +264,8 @@ def linear(x: Element, source, target, image) -> Element:
     """
     if x.basis != source:
         raise ValueError(f"needs an element of basis {source}, not {x.basis}")
-    # most images are unit: skip the Fraction multiply ``c * 1``
+    # most images are unit: skip ``c * 1``, a costly multiply when ``c``
+    # is a Fraction
     return Element(target, [
         (k, c if d == 1 else c * d) for key, c in x.terms.items() for k, d in image(key)])
 
@@ -393,7 +418,8 @@ def _check_degree(basis: str, *keys):
 def _capped_cache(basis: str):
     """Cache an operation on keys of ``basis``, checking the degree cap
     first: the cache hashes the keys, which recurses in C and crashes on
-    deep enough trees."""
+    deep enough trees.  The check runs on cache hits too, since
+    ``lru_cache`` hashes a key before it knows whether it holds it."""
 
     def decorate(fn):
         cached = lru_cache(maxsize=None)(fn)
@@ -456,10 +482,9 @@ def order_sum_tables(basis: str, n: int):
         cones[i] = reduce(or_, [cones[k] for k in edges[i]], 1 << i)
     at_cone = {cone: pairs[i] for i, cone in enumerate(cones)}
     forward, inverse = {}, {}
-    one = Fraction(1)
     for i, j in enumerate(pairs):
-        forward[j] = Element("P", [(pairs[k], one) for k in positions(cones[i])])
-        terms = [(cones[i], one)]
+        forward[j] = Element("P", [(pairs[k], 1) for k in positions(cones[i])])
+        terms = [(cones[i], 1)]
         for k in edges[i]:
             terms += [(cone & cones[k], -sign) for cone, sign in terms]
         try:

@@ -309,12 +309,76 @@ def test_class_products_that_fail_to_collect_are_internal_errors(
         cached.cache_clear()
 
 
-def test_element_coefficients_are_exact_fractions():
+def _in_normal_form(x):
+    """Each coefficient is an int when integral, a Fraction otherwise."""
+    return all(
+        type(c) is (int if Fraction(c).denominator == 1 else Fraction)
+        for c in x.terms.values()
+    )
+
+
+def test_element_coefficients_are_in_exact_normal_form():
     third = Fraction(1, 3)
     x = Element("P", [(J1, third), (J1, 2), (J12, 1)])
     assert x.terms == {J1: Fraction(7, 3), J12: Fraction(1)}
-    assert all(type(c) is Fraction for c in x.terms.values())
+    assert _in_normal_form(x)
     assert Element("P", {J1: third}).terms[J1] == third
+
+    inputs = [
+        (3, 3), (True, 1), (Fraction(4, 2), 2), (third, third),
+        (0.5, Fraction(1, 2)), (-2.0, -2), ("-3/4", Fraction(-3, 4)), ("5", 5),
+    ]
+    for given, want in inputs:
+        got = Element("P", {J1: given}).terms[J1]
+        assert got == want and type(got) is type(want), given
+    # values that cancel to an integer are stored as one
+    assert (3 * Element("P", {J1: third})).terms == {J1: 1}
+    assert Element("P", [(J1, third), (J1, Fraction(2, 3))]).terms == {J1: 1}
+    y = Element("P", {J1: Fraction(1, 2), J12: 3})
+    derived = [
+        -x, x + y, x - y, y + y, 2 * y, Fraction(2) * y, Fraction(1, 3) * y,
+        0.5 * y, y * 4, x * y,
+    ]
+    assert (y + y).terms == {J1: 1, J12: 6}
+    assert (0.5 * y).terms == {J1: Fraction(1, 4), J12: Fraction(3, 2)}
+    assert all(_in_normal_form(z) for z in derived)
+
+    half = Fraction(1, 2) * p_element(J21)
+    products = [element_product(half, 2 * p_element(J12)), p_product(J21, J12)]
+    assert products[0] == products[1]
+    images = [
+        hopf.linear(half, "P", "P", lambda j: [(j, Fraction(4)), (J1, third)]),
+        theta(half), f_coproduct(theta(3 * p_element(J21))),
+        f_collect_to_p(theta(half)), f_collect_to_p(f_coproduct(p_to_f(J21))),
+    ]
+    assert images[0].terms == {J21: 2, J1: Fraction(1, 6)}
+    assert images[3] == half
+    for z in products + images:
+        assert _in_normal_form(z)
+    for basis in ("E", "H"):
+        for n in range(4):
+            for table in hopf.order_sum_tables(basis, n):
+                for z in table.values():
+                    assert all(type(c) is int for c in z.terms.values())
+
+    assert type(x.coeff(J12)) is Fraction and x.coeff(J12) == 1
+    assert type(x.coeff(J21)) is Fraction and x.coeff(J21) == 0
+    assert x.coeff(J1) == Fraction(7, 3)
+
+
+def test_elements_are_equal_across_int_and_fraction_coefficients():
+    a = Element("P", {J1: Fraction(1), J12: Fraction(-2)})
+    b = Element("P", {J1: 1, J12: -2})
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+    j = p_shape((2, 1, 4, 3))
+    members = sorted(class_of_pair(j))
+    assert len(members) == 2
+    x = Element("F", {members[0]: Fraction(2), members[1]: 2})
+    assert f_collect_to_p(x) == Element("P", {j: 2})
+    tensor = Element(("F", "F"), {(members[0], (1,)): Fraction(1), (members[1], (1,)): 1})
+    assert hopf.collect(tensor, "P") == Element(("P", "P"), {(j, J1): 1})
 
 
 def test_order_sum_bases_round_trip():
