@@ -6,7 +6,6 @@ spanned by class sums inside the algebra of permutations, all with
 exact rational arithmetic.
 """
 
-from .congruence import adjacent_rewrites, congruence_class, equivalent
 from .errors import InternalInvariantError, NotInSubalgebraError
 from .insertion import (
     baxter_representative,
@@ -28,7 +27,6 @@ from .lattice import (
     hasse_dot,
 )
 from .perms import (
-    co_inversions,
     inverse,
     is_baxter,
     is_connected,
@@ -43,13 +41,11 @@ from .trees import (
     canopy,
     graft_over,
     graft_under,
-    leaf_insert,
     left_rotate,
     pair_str,
     parse_pair,
     parse_tree,
     right_rotate,
-    root_insert,
     tamari_leq,
     tamari_vector,
     tree_str,
@@ -67,4 +63,6 @@ from .words import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The functions and classes imported above; the submodules that importing
+# them binds here are not part of the star-import.
+__all__ = [name for name in dir() if not name.startswith("_") and callable(globals()[name])]

@@ -24,12 +24,14 @@ the class-sum bases ``P`` and ``Psylv``, which :func:`collect` reads.
 Every termwise map between bases (``theta``, ``phi``, ``psi``,
 ``rho_linear``, the F and Fstar coproducts) is :func:`linear`, the one
 change of basis and the one check of its input's basis.
+
+Only the algebra itself is here.  The brute-force checks of it, the
+generating-series identities among them, are in :mod:`baxter.verify`.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce, wraps
 from operator import or_
@@ -406,11 +408,6 @@ def _class_product(basis: str, k0, k1) -> Element:
     return _collected(element_product(x0, x1), basis, "product of class sums")
 
 
-def f_collect_to_p(x: Element) -> Element:
-    """Rewrite an F-element, or an F(x)F tensor, in the P basis, or raise."""
-    return collect(x, "P")
-
-
 def _check_degree(basis: str, *keys):
     config.check_product_degree(sum(key_degree(basis, k) for k in keys))
 
@@ -578,11 +575,6 @@ def _right_shape(s):
     return p_shape(s)[1]
 
 
-def f_collect_to_sylv(x: Element) -> Element:
-    """Rewrite an F-element as sylvester class sums, or raise."""
-    return collect(x, "Psylv")
-
-
 @_capped_cache("Psylv")
 def _sylv_key_product(t0, t1) -> Element:
     return _class_product("Psylv", t0, t1)
@@ -670,7 +662,7 @@ def phi_psi_theta(x: Element) -> Element:
 
 
 # ---------------------------------------------------------------------------
-# primitive elements and dimension series
+# totally primitive elements and the Baxter numbers
 
 
 def totally_primitive_basis(n: int):
@@ -713,81 +705,6 @@ def baxter_numbers(nmax: int):
     if nmax < 0:
         raise ValueError("n must be nonnegative")
     return [len(enumerate_tbt(k)) for k in range(nmax + 1)]
-
-
-def _series_mul(a, b, nmax):
-    out = [Fraction(0)] * (nmax + 1)
-    for i, ai in enumerate(a[: nmax + 1]):
-        if not ai:
-            continue
-        for j, bj in enumerate(b[: nmax + 1 - i]):
-            out[i + j] += ai * bj
-    return out
-
-
-def _series_inv(a, nmax):
-    if not a[0]:
-        raise ValueError("series with zero constant term has no inverse")
-    inv = [Fraction(0)] * (nmax + 1)
-    inv[0] = 1 / Fraction(a[0])
-    for k in range(1, nmax + 1):
-        s = sum(Fraction(a[i]) * inv[k - i] for i in range(1, k + 1))
-        inv[k] = -inv[0] * s
-    return inv
-
-
-@dataclass
-class SeriesReport:
-    """Outcome of the generating-series consistency check."""
-
-    ok: bool
-    rows: list = field(default_factory=list)
-    failures: list = field(default_factory=list)
-
-
-def series_check(nmax: int) -> SeriesReport:
-    """Check the enumeration against the generating-series identities.
-
-    With B(z) the twin-pair series, connected pairs must match
-    1 - 1/B(z) degree by degree up to ``nmax``, and totally primitive
-    dimensions must match (B(z) - 1) / B(z)^2 up to degree 5 (the
-    kernel computation is the costly part, so it stops there).
-    """
-    if nmax < 0:
-        raise ValueError("n must be nonnegative")
-    config.check_enum_degree(nmax)
-    b = [Fraction(v) for v in baxter_numbers(nmax)]
-    inv_b = _series_inv(b, nmax)
-    conn_series = [Fraction(int(k == 0)) - c for k, c in enumerate(inv_b)]
-    bm1 = list(b)
-    bm1[0] -= 1
-    tot_series = _series_mul(bm1, _series_mul(inv_b, inv_b, nmax), nmax)
-    report = SeriesReport(ok=True)
-    for n in range(1, nmax + 1):
-        conn = len(connected_pairs(n))
-        row = {
-            "n": n,
-            "baxter": int(b[n]),
-            "connected": conn,
-            "connected_series": conn_series[n],
-        }
-        if conn_series[n] != conn:
-            report.ok = False
-            report.failures.append(
-                f"degree {n}: connected count {conn} != series value {conn_series[n]}"
-            )
-        if n <= 5:
-            tot = len(totally_primitive_basis(n))
-            row["totally_primitive"] = tot
-            row["totally_primitive_series"] = tot_series[n]
-            if tot_series[n] != tot:
-                report.ok = False
-                report.failures.append(
-                    f"degree {n}: totally primitive dimension {tot} "
-                    f"!= series value {tot_series[n]}"
-                )
-        report.rows.append(row)
-    return report
 
 
 # ---------------------------------------------------------------------------

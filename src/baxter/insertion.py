@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import InternalInvariantError
-from .perms import check_permutation, is_baxter
+from .perms import is_baxter
 from .trees import LNode, Node, canopies_complementary, canopy, pair_str
 from .words import check_word
 

@@ -20,8 +20,8 @@ rows are built from ``int`` letters, so the answer does not depend on
 which spelling reached the cache first.  Inputs that are not
 permutations raise ``ValueError`` and are never stored.
 
-Also here: the Baxter vincular-pattern test, the two size-graded
-concatenations, and connectedness (indecomposability).
+Also here: the Baxter vincular-pattern test and connectedness
+(indecomposability).
 """
 
 from __future__ import annotations
@@ -52,20 +52,6 @@ def inverse(sigma) -> tuple:
     for pos, val in enumerate(s, start=1):
         inv[val - 1] = pos
     return tuple(inv)
-
-
-def co_inversions(sigma) -> frozenset:
-    """The set of pairs (i, j), i < j, whose larger value occurs first.
-
-    >>> sorted(co_inversions((3, 1, 2)))
-    [(1, 3), (2, 3)]
-    """
-    s = check_permutation(sigma)
-    pos = {val: i for i, val in enumerate(s)}
-    n = len(s)
-    return frozenset(
-        (i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if pos[i] > pos[j]
-    )
 
 
 @lru_cache(maxsize=2048)
@@ -224,53 +210,8 @@ def is_baxter(sigma) -> bool:
     return True
 
 
-def _is_baxter_scan(sigma) -> bool:
-    """Brute-force O(n^3) scan for 2-41-3 and 3-14-2; the oracle for
-    :func:`is_baxter`.
-
-    >>> _is_baxter_scan((2, 4, 1, 3))
-    False
-    """
-    s = check_permutation(sigma)
-    n = len(s)
-    for p2 in range(n - 1):
-        b, c = s[p2], s[p2 + 1]
-        for p1 in range(p2):
-            a = s[p1]
-            for p4 in range(p2 + 2, n):
-                d = s[p4]
-                if c < a < d < b:  # pattern 2413
-                    return False
-                if b < d < a < c:  # pattern 3142
-                    return False
-    return True
-
-
-def perm_over(sigma, nu) -> tuple:
-    """Concatenate with the right factor shifted up by |sigma|.
-
-    >>> perm_over((3, 1, 2), (2, 3, 1, 4))
-    (3, 1, 2, 5, 6, 4, 7)
-    """
-    s, t = check_permutation(sigma), check_permutation(nu)
-    return s + tuple(a + len(s) for a in t)
-
-
-def perm_under(sigma, nu) -> tuple:
-    """Concatenate with the left factor shifted up by |nu|.
-
-    >>> perm_under((3, 1, 2), (2, 3, 1, 4))
-    (7, 5, 6, 2, 3, 1, 4)
-    """
-    s, t = check_permutation(sigma), check_permutation(nu)
-    return tuple(a + len(t) for a in s) + t
-
-
 def is_connected(sigma) -> bool:
     """True iff no proper prefix of length k is a permutation of {1..k}.
-
-    Connected permutations are exactly those that are not ``perm_over``
-    of two smaller ones.
 
     >>> is_connected((2, 4, 1, 3))
     True

@@ -28,9 +28,6 @@ class LNode(NamedTuple):
     right: Optional["LNode"]
 
 
-LEAF = None
-
-
 def size(t) -> int:
     """Number of internal nodes, counted down the left spines.
 
@@ -232,23 +229,36 @@ def parse_pair(text: str):
 def graft_over(t0, t1):
     """``t0 / t1``: ``t1``'s root on top, ``t0`` replacing its leftmost leaf.
 
+    Rebuilds ``t1``'s left spine bottom-up: iterative, so trees of any
+    depth work at the default recursion limit.
+
     >>> tree_str(graft_over(Node(None, None), Node(None, None)))
     '((. .) .)'
     """
-    if t1 is None:
-        return t0
-    return Node(graft_over(t0, t1.left), t1.right)
+    rights = []
+    while t1 is not None:
+        rights.append(t1.right)
+        t1 = t1.left
+    for right in reversed(rights):
+        t0 = Node(t0, right)
+    return t0
 
 
 def graft_under(t0, t1):
     """``t0 \\ t1``: ``t0``'s root on top, ``t1`` replacing its rightmost leaf.
 
+    Rebuilds ``t0``'s right spine bottom-up, iteratively.
+
     >>> tree_str(graft_under(Node(None, None), Node(None, None)))
     '(. (. .))'
     """
-    if t0 is None:
-        return t1
-    return Node(t0.left, graft_under(t0.right, t1))
+    lefts = []
+    while t0 is not None:
+        lefts.append(t0.left)
+        t0 = t0.right
+    for left in reversed(lefts):
+        t1 = Node(left, t1)
+    return t1
 
 
 def right_rotate(t, i):
@@ -378,47 +388,44 @@ def tamari_leq(t0, t1) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# binary search tree insertions
-
-
-def leaf_insert(t, a: int, flavor: str):
-    """Insert ``a`` as a new leaf of a labeled binary search tree.
-
-    ``flavor="left"`` keeps strictly smaller letters in left subtrees
-    (ties go right); ``flavor="right"`` keeps ties left.
-    """
-    if flavor not in ("left", "right"):
-        raise ValueError(f"flavor must be 'left' or 'right', got {flavor!r}")
-    if t is None:
-        return LNode(a, None, None)
-    go_left = a < t.label if flavor == "left" else a <= t.label
-    if go_left:
-        return LNode(t.label, leaf_insert(t.left, a, flavor), t.right)
-    return LNode(t.label, t.left, leaf_insert(t.right, a, flavor))
+# splitting a right binary search tree at a letter
 
 
 def _restrict_le(t, b):
-    # keep nodes with label <= b; a dropped node sheds its right subtree too
-    if t is None:
-        return None
-    if t.label <= b:
-        return LNode(t.label, t.left, _restrict_le(t.right, b))
-    return _restrict_le(t.left, b)
+    # keep nodes with label <= b; a dropped node sheds its right subtree too.
+    # The kept nodes lie on one path; each takes the next kept one as its
+    # new right subtree.
+    kept = []
+    while t is not None:
+        if t.label <= b:
+            kept.append(t)
+            t = t.right
+        else:
+            t = t.left
+    for node in reversed(kept):
+        t = LNode(node.label, node.left, t)
+    return t
 
 
 def _restrict_gt(t, b):
     # keep nodes with label > b; a dropped node sheds its left subtree too
-    if t is None:
-        return None
-    if t.label > b:
-        return LNode(t.label, _restrict_gt(t.left, b), t.right)
-    return _restrict_gt(t.right, b)
+    kept = []
+    while t is not None:
+        if t.label > b:
+            kept.append(t)
+            t = t.left
+        else:
+            t = t.right
+    for node in reversed(kept):
+        t = LNode(node.label, t, node.right)
+    return t
 
 
 def restricted_trees(t, b: int):
     """Split a right binary search tree into its <= b and > b parts.
 
     Both parts keep the ancestor relations of the original tree.
+    Iterative, so trees of any depth work at the default recursion limit.
 
     >>> t = parse_labeled_tree("(4 (1 (1 . .) (3 (2 . (3 . .)) .)) (5 . .))")
     >>> ltree_str(restricted_trees(t, 2)[0])
@@ -427,78 +434,6 @@ def restricted_trees(t, b: int):
     '(4 (3 (3 . .) .) (5 . .))'
     """
     return _restrict_le(t, b), _restrict_gt(t, b)
-
-
-def root_insert(t, a: int):
-    """Insert ``a`` at the root of a right binary search tree.
-
-    The old tree splits into its <= a and > a parts, which become the
-    left and right subtrees of the new root.
-
-    >>> ltree_str(root_insert(LNode(5, None, None), 4))
-    '(4 . (5 . .))'
-    """
-    left, right = restricted_trees(t, a)
-    return LNode(a, left, right)
-
-
-def infix_labeling(t):
-    """Label the nodes of a shape 1..n in infix order.
-
-    >>> ltree_str(infix_labeling(parse_tree("((. .) (. .))")))
-    '(2 (1 . .) (3 . .))'
-    """
-    counter = [0]
-
-    def walk(node):
-        if node is None:
-            return None
-        left = walk(node.left)
-        counter[0] += 1
-        label = counter[0]
-        return LNode(label, left, walk(node.right))
-
-    return walk(t)
-
-
-# ---------------------------------------------------------------------------
-# structural predicates (used heavily by the test suites)
-
-
-def _bounds_ok(t, lo, hi, tie_left):
-    if t is None:
-        return True
-    a = t.label
-    if not (lo <= a <= hi):
-        return False
-    if tie_left:  # right flavor: left subtree <= a, right subtree > a
-        return _bounds_ok(t.left, lo, a, tie_left) and _bounds_ok(
-            t.right, a + 1, hi, tie_left
-        )
-    # left flavor: left subtree < a, right subtree >= a
-    return _bounds_ok(t.left, lo, a - 1, tie_left) and _bounds_ok(
-        t.right, a, hi, tie_left
-    )
-
-
-def is_left_bst(t) -> bool:
-    """Left flavor: strictly smaller labels left, ties right."""
-    return _bounds_ok(t, float("-inf"), float("inf"), tie_left=False)
-
-
-def is_right_bst(t) -> bool:
-    """Right flavor: ties left, strictly larger labels right."""
-    return _bounds_ok(t, float("-inf"), float("inf"), tie_left=True)
-
-
-def is_decreasing(t) -> bool:
-    """Every child label is smaller than its parent label."""
-    if t is None:
-        return True
-    for child in (t.left, t.right):
-        if child is not None and child.label >= t.label:
-            return False
-    return is_decreasing(t.left) and is_decreasing(t.right)
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from typing import Iterable
-
-Word = tuple
 
 
 def check_word(u) -> tuple:

@@ -42,20 +42,21 @@ from baxter.insertion import (
     p_symbol,
 )
 from baxter.lattice import baxter_join, baxter_leq, baxter_meet, enumerate_tbt
-from baxter.perms import co_inversions, inverse, is_baxter
+from baxter.perms import inverse, is_baxter
 from baxter.trees import (
     all_trees,
     canopy,
-    leaf_insert,
     right_rotate,
-    root_insert,
     tamari_leq,
     unlabel,
 )
 from baxter.verify import (
     baxter_number_formula,
+    co_inversions,
     congruence_partition,
+    leaf_insert,
     partitions_equal,
+    root_insert,
     words_up_to,
 )
 

@@ -6,18 +6,18 @@ from fractions import Fraction
 import pytest
 
 import baxter.hopf as hopf
+from baxter import verify
 from baxter.errors import InternalInvariantError, NotInSubalgebraError
 from baxter.hopf import (
     Element,
     baxter_numbers,
+    collect,
     connected_pairs,
     dual_coproduct,
     dual_product,
     e_from_p,
     e_product,
     element_product,
-    f_collect_to_p,
-    f_collect_to_sylv,
     f_coproduct,
     f_coproduct_left,
     f_coproduct_right,
@@ -44,7 +44,6 @@ from baxter.hopf import (
     psi,
     rho,
     rho_linear,
-    series_check,
     sylv_element,
     sylv_to_f,
     theta,
@@ -52,7 +51,7 @@ from baxter.hopf import (
 )
 from baxter.insertion import class_of_pair, p_shape
 from baxter.lattice import baxter_leq, enumerate_tbt
-from baxter.trees import parse_pair, parse_tree
+from baxter.trees import pair_str, parse_pair, parse_tree
 
 
 J1 = p_shape((1,))
@@ -181,27 +180,27 @@ def test_theta_is_the_subalgebra_inclusion():
 
 def test_f_collect_to_p_accepts_class_sums():
     x = f_element((2, 1, 4, 3)) + f_element((2, 4, 1, 3))
-    assert f_collect_to_p(x) == p_element(J2143)
+    assert collect(x, "P") == p_element(J2143)
 
 
 def test_f_collect_to_p_rejects_partial_sums():
     with pytest.raises(NotInSubalgebraError) as info:
-        f_collect_to_p(f_element((2, 1, 4, 3)))
+        collect(f_element((2, 1, 4, 3)), "P")
     assert info.value.pair == J2143
 
 
 def test_collect_names_the_offending_class_on_every_path():
     tensor = Element(("F", "F"), {((2, 1, 4, 3), (1,)): 1, ((2, 4, 1, 3), (1,)): 2})
     with pytest.raises(NotInSubalgebraError) as info:
-        f_collect_to_p(tensor)
+        collect(tensor, "P")
     assert info.value.pair == (J2143, J1)
     whole = Element(("F", "F"), {((2, 1, 4, 3), (1,)): 3, ((2, 4, 1, 3), (1,)): 3})
-    assert f_collect_to_p(whole) == Element(("P", "P"), {(J2143, J1): 3})
+    assert collect(whole, "P") == Element(("P", "P"), {(J2143, J1): 3})
     t = parse_tree("((. .) (. .))")
     with pytest.raises(NotInSubalgebraError) as info:
-        f_collect_to_sylv(f_element((1, 3, 2)))
+        collect(f_element((1, 3, 2)), "Psylv")
     assert info.value.pair == t
-    assert f_collect_to_sylv(sylv_to_f(t)) == sylv_element(t)
+    assert collect(sylv_to_f(t), "Psylv") == sylv_element(t)
 
 
 def test_p_product_worked_example():
@@ -349,7 +348,7 @@ def test_element_coefficients_are_in_exact_normal_form():
     images = [
         hopf.linear(half, "P", "P", lambda j: [(j, Fraction(4)), (J1, third)]),
         theta(half), f_coproduct(theta(3 * p_element(J21))),
-        f_collect_to_p(theta(half)), f_collect_to_p(f_coproduct(p_to_f(J21))),
+        collect(theta(half), "P"), collect(f_coproduct(p_to_f(J21)), "P"),
     ]
     assert images[0].terms == {J21: 2, J1: Fraction(1, 6)}
     assert images[3] == half
@@ -376,7 +375,7 @@ def test_elements_are_equal_across_int_and_fraction_coefficients():
     members = sorted(class_of_pair(j))
     assert len(members) == 2
     x = Element("F", {members[0]: Fraction(2), members[1]: 2})
-    assert f_collect_to_p(x) == Element("P", {j: 2})
+    assert collect(x, "P") == Element("P", {j: 2})
     tensor = Element(("F", "F"), {(members[0], (1,)): Fraction(1), (members[1], (1,)): 1})
     assert hopf.collect(tensor, "P") == Element(("P", "P"), {(j, J1): 1})
 
@@ -563,13 +562,29 @@ def test_baxter_numbers():
     assert baxter_numbers(7) == [1, 1, 2, 6, 22, 92, 422, 2074]
 
 
-def test_series_check_passes():
-    report = series_check(4)
-    assert report.ok
-    assert not report.failures
-    assert len(report.rows) == 4
+def test_series_suite_passes():
+    checks = verify.series_suite(4)
+    assert checks and all(check.ok for check in checks)
     with pytest.raises(ValueError, match="nonnegative"):
-        series_check(-1)
+        verify.series_check(-1)
+
+
+def test_pair_grafts_of_deep_pairs_at_the_default_recursion_limit():
+    n = 2000
+    up, down = tuple(range(1, n + 1)), tuple(range(n, 0, -1))
+    # Grafting each pair on itself walks a spine n nodes deep in both
+    # trees, and gives the pair of the word twice as long.
+    cases = [
+        (pair_over, p_shape(up), p_shape(tuple(range(1, 2 * n + 1)))),
+        (pair_under, p_shape(down), p_shape(tuple(range(2 * n, 0, -1)))),
+    ]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # CPython's default
+    try:
+        for graft, j, doubled in cases:
+            assert pair_str(graft(j, j)) == pair_str(doubled)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_degree_caps_guard_expensive_calls():

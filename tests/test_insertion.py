@@ -24,15 +24,12 @@ from baxter.trees import (
     Node,
     all_trees,
     canopy,
-    infix_labeling,
-    is_decreasing,
-    leaf_insert,
     ltree_str,
     pair_str,
-    root_insert,
     tree_str,
     unlabel,
 )
+from baxter.verify import infix_labeling, is_decreasing, leaf_insert, root_insert
 
 
 def all_perms(n):

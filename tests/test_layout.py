@@ -1,0 +1,93 @@
+"""Where the brute-force oracles live, read from the source with ``ast``.
+
+``baxter.verify`` is the one home of the paper's literal definitions:
+only the CLI imports it, and only it imports the rewrite closure of
+``baxter.congruence``.  The library modules keep only what they run.
+"""
+
+import ast
+from pathlib import Path
+from types import ModuleType
+
+import baxter
+
+PACKAGE = Path(baxter.__file__).resolve().parent
+
+# Defined in verify, and nowhere else in the package.
+MOVED = {
+    "leaf_insert", "root_insert", "infix_labeling", "is_left_bst",
+    "is_right_bst", "_bounds_ok", "is_decreasing", "co_inversions",
+    "_is_baxter_scan", "series_check", "_series_mul", "_series_inv",
+}
+# Defined nowhere in the package.
+DELETED = {
+    "perm_over", "perm_under", "SeriesReport", "f_collect_to_p",
+    "f_collect_to_sylv", "LEAF", "Word",
+}
+ORACLES = MOVED | {"adjacent_rewrites", "congruence_class", "equivalent"}
+
+
+def _sources():
+    return {path.stem: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+
+
+def _imported_modules(tree):
+    """Short names of the package modules that ``tree`` imports."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "baxter" and len(parts) > 1:
+                    out.add(parts[1])
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and module.startswith("baxter"):
+                module = module[len("baxter"):].lstrip(".")
+            elif node.level == 0:
+                continue
+            if module:
+                out.add(module.split(".")[0])
+            else:  # ``from . import name`` and ``from baxter import name``
+                out.update(alias.name for alias in node.names)
+    return out
+
+
+def _defined(tree):
+    """Names bound at the top level of a module, other than by import."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out.update(t.id for t in targets if isinstance(t, ast.Name))
+    return out
+
+
+def test_only_the_cli_imports_verify():
+    importers = {name for name, tree in _sources().items()
+                 if "verify" in _imported_modules(tree)}
+    assert importers == {"cli"}
+
+
+def test_only_verify_imports_the_rewrite_closure():
+    importers = {name for name, tree in _sources().items()
+                 if "congruence" in _imported_modules(tree)}
+    assert importers == {"verify"}
+
+
+def test_the_oracles_are_defined_only_in_verify():
+    sources = _sources()
+    assert MOVED <= _defined(sources["verify"])
+    assert not DELETED & _defined(sources["verify"])
+    for name, tree in sources.items():
+        if name != "verify":
+            assert not (MOVED | DELETED) & _defined(tree), name
+
+
+def test_the_package_exports_only_functions_and_classes():
+    exported = {name: getattr(baxter, name) for name in baxter.__all__}
+    assert not [n for n, obj in exported.items() if isinstance(obj, ModuleType)]
+    assert all(callable(obj) for obj in exported.values())
+    assert not ORACLES & set(exported)

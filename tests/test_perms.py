@@ -6,20 +6,17 @@ from hypothesis import given, settings, strategies as st
 
 from baxter.perms import (
     _closed_permutation,
-    _is_baxter_scan,
     _rows,
     check_permutation,
-    co_inversions,
     inverse,
     is_baxter,
     is_connected,
-    perm_over,
-    perm_under,
     permutohedron_covers,
     permutohedron_leq,
     weak_order_join,
     weak_order_meet,
 )
+from baxter.verify import _is_baxter_scan, co_inversions
 
 
 def all_perms(n):
@@ -249,13 +246,6 @@ def test_baxter_is_closed_under_inverse_and_reverse():
         b = is_baxter(p)
         assert is_baxter(inverse(p)) == b
         assert is_baxter(p[::-1]) == b
-
-
-def test_perm_over_and_under():
-    assert perm_over((1, 2), (2, 1)) == (1, 2, 4, 3)
-    assert perm_under((1, 2), (2, 1)) == (3, 4, 2, 1)
-    assert perm_over((), (2, 1)) == (2, 1)
-    assert perm_under((2, 1), ()) == (2, 1)
 
 
 def test_is_connected():

@@ -13,11 +13,6 @@ from baxter.trees import (
     complement_canopy,
     graft_over,
     graft_under,
-    infix_labeling,
-    is_decreasing,
-    is_left_bst,
-    is_right_bst,
-    leaf_insert,
     left_rotate,
     ltree_str,
     pair_str,
@@ -26,13 +21,20 @@ from baxter.trees import (
     parse_tree,
     restricted_trees,
     right_rotate,
-    root_insert,
     size,
     tamari_leq,
     tamari_vector,
     tree_str,
     trees_by_canopy,
     unlabel,
+)
+from baxter.verify import (
+    infix_labeling,
+    is_decreasing,
+    is_left_bst,
+    is_right_bst,
+    leaf_insert,
+    root_insert,
 )
 
 words_st = st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=8)
@@ -258,6 +260,38 @@ def _labels(t):
     if t is None:
         return []
     return _labels(t.left) + [t.label] + _labels(t.right)
+
+
+def test_search_tree_predicates_bound_every_subtree():
+    tie_left = parse_labeled_tree("(2 (2 . .) (3 . .))")
+    tie_right = parse_labeled_tree("(2 (1 . .) (2 . .))")
+    assert is_right_bst(tie_left) and not is_left_bst(tie_left)
+    assert is_left_bst(tie_right) and not is_right_bst(tie_right)
+    for text in ("(5 (3 . (6 . .)) .)", "(5 . (7 (4 . .) .))"):
+        t = parse_labeled_tree(text)
+        assert not is_left_bst(t) and not is_right_bst(t)
+
+
+def test_restricted_trees_of_deep_trees_at_the_default_recursion_limit():
+    n = 2000
+    # The right search trees of 1..n (a left comb) and of n..1 (a right
+    # comb): each part is rebuilt along a path about n nodes long.
+    left_comb = "".join(f"({k} " for k in range(n, 0, -1)) + "." + " .)" * n
+    right_comb = "".join(f"({k} . " for k in range(1, n + 1)) + "." + ")" * n
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # CPython's default
+    try:
+        low, high = restricted_trees(parse_labeled_tree(left_comb), 5)
+        assert ltree_str(low) == "(5 (4 (3 (2 (1 . .) .) .) .) .)"
+        assert ltree_str(high) == "".join(
+            f"({k} " for k in range(n, 5, -1)) + "." + " .)" * (n - 5)
+        low, high = restricted_trees(parse_labeled_tree(right_comb), n - 5)
+        assert ltree_str(low) == "".join(
+            f"({k} . " for k in range(1, n - 4)) + "." + ")" * (n - 5)
+        assert ltree_str(high) == "".join(
+            f"({k} . " for k in range(n - 4, n + 1)) + "." + ")" * 5
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_infix_labeling_is_a_section_of_unlabeling():
