@@ -8,7 +8,6 @@ no floats, no tolerances, anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 
@@ -30,13 +29,38 @@ def rational_str(q) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-@dataclass(frozen=True)
 class RationalMatrix:
-    """A rows x cols matrix of rationals, nonzero entries only."""
+    """A rows x cols matrix of rationals, nonzero entries only.
 
-    rows: int
-    cols: int
-    entries: dict = field(default_factory=dict)
+    Immutable, compared by value, and unhashable, since ``entries`` is a
+    dict.
+    """
+
+    __slots__ = ("rows", "cols", "entries")
+
+    def __init__(self, rows: int, cols: int, entries=None):
+        set_field = object.__setattr__
+        set_field(self, "rows", rows)
+        set_field(self, "cols", cols)
+        set_field(self, "entries", {} if entries is None else entries)
+        self.__post_init__()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (f"{type(self).__name__}(rows={self.rows!r}, cols={self.cols!r}, "
+                f"entries={self.entries!r})")
 
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:

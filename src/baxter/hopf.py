@@ -1,7 +1,9 @@
 """The Hopf-algebra layer.
 
 The permutation algebra carries the fundamental basis ``F`` (product =
-shifted shuffle, coproduct = deconcatenate and standardize).  Summing
+shifted shuffle, coproduct = deconcatenate and standardize).  Its two
+half products split the shuffle by the factor that gives the last
+letter, so each interleaves the rest and appends that letter.  Summing
 ``F`` over baxter congruence classes gives the basis ``P`` of a Hopf
 subalgebra indexed by twin pairs, with the order-sum bases ``E`` and
 ``H`` on top of it.  The graded dual carries ``Fstar`` and the quotient
@@ -61,7 +63,7 @@ from .trees import (
     tree_str,
     trees_by_canopy,
 )
-from .words import shifted_shuffle, standardize, word_str
+from .words import _interleavings, shifted_shuffle, standardize, word_str
 
 # basis name -> (what its keys are, name of the product of two keys).
 # Names resolve at call time, so a wrapper set on the module sees every call.
@@ -304,31 +306,53 @@ def f_coproduct(x: Element) -> Element:
     return _deconcatenate(x, lambda s: range(len(s) + 1))
 
 
-def _half_product(x: Element, y: Element, last) -> Element:
-    """The terms of each shifted shuffle of ``s`` and ``t`` that end in
-    the letter ``last(s, t)``; none when that is None."""
+def _half_product(x: Element, y: Element, left: bool) -> Element:
+    """The terms of each shifted shuffle of ``s`` and ``t`` whose last
+    letter comes from ``s`` (``left``) or from the shifted ``t``.
+
+    Only the last step of the shuffle is made: the rest of the factor
+    that gives the last letter is interleaved with the whole other
+    factor, and that letter is appended.  A pair with an empty factor on
+    the asked side gives nothing.
+    """
     if x.basis != "F" or y.basis != "F":
         raise ValueError("dendriform operations need F-basis elements")
+    for s in itertools.chain(x.terms, y.terms):
+        check_permutation(s)
     acc = []
     for s, c in x.terms.items():
+        m = len(s)
         for t, d in y.terms.items():
-            end = last(s, t)
-            if end is None:
+            shifted = tuple(a + m for a in t)
+            if left and s:
+                head, tail, last = s[:-1], shifted, s[-1:]
+            elif not left and t:
+                head, tail, last = s, shifted[:-1], shifted[-1:]
+            else:
                 continue
-            for p in shifted_shuffle(s, t):
-                if p[-1] == end:
-                    acc.append((p, c * d))
+            cd = c * d
+            acc += [(w + last, cd) for w in _interleavings(head, tail)]
     return Element("F", acc)
 
 
 def f_prec(x: Element, y: Element) -> Element:
-    """Half product keeping the last letter on the left factor's side."""
-    return _half_product(x, y, lambda s, t: s[-1] if s else None)
+    """Half product keeping the last letter on the left factor's side.
+
+    ``F[s] < F[t]`` sums the interleavings of ``s[:-1]`` with ``t``
+    shifted by ``|s|``, each followed by ``s[-1]``; it is 0 when ``s`` is
+    empty.
+    """
+    return _half_product(x, y, left=True)
 
 
 def f_succ(x: Element, y: Element) -> Element:
-    """Half product keeping the last letter on the right factor's side."""
-    return _half_product(x, y, lambda s, t: t[-1] + len(s) if t else None)
+    """Half product keeping the last letter on the right factor's side.
+
+    ``F[s] > F[t]`` sums the interleavings of ``s`` with ``t[:-1]``
+    shifted by ``|s|``, each followed by ``t[-1] + |s|``; it is 0 when
+    ``t`` is empty.  With :func:`f_prec` it splits :func:`f_product`.
+    """
+    return _half_product(x, y, left=False)
 
 
 def f_coproduct_left(x: Element) -> Element:
@@ -608,7 +632,8 @@ def _fstar_key_product(s, t) -> Element:
     out = {}
     universe = range(1, m + n + 1)
     for chosen in itertools.combinations(universe, m):
-        rest = [v for v in universe if v not in set(chosen)]
+        taken = set(chosen)
+        rest = [v for v in universe if v not in taken]
         prefix = tuple(chosen[a - 1] for a in s)
         suffix = tuple(rest[a - 1] for a in t)
         out[prefix + suffix] = 1
@@ -716,19 +741,23 @@ def element_product(x: Element, y: Element) -> Element:
     multiply factor by factor."""
     if not isinstance(y, Element) or x.basis != y.basis:
         raise ValueError("can only multiply elements of the same basis")
-    tensor = not isinstance(x.basis, str)
     products = [globals()[_BASES[name][1]] for name in _names(x.basis)]
     acc = []
+    if isinstance(x.basis, str):
+        (product,) = products
+        for a, c in x.terms.items():
+            for b, d in y.terms.items():
+                cd = c * d
+                acc += [(k, cd if e == 1 else cd * e) for k, e in product(a, b).terms.items()]
+        return Element(x.basis, acc)
     for a, c in x.terms.items():
         for b, d in y.terms.items():
-            pairs = zip(a, b) if tensor else ((a, b),)
-            factors = [fn(ak, bk).terms.items() for fn, (ak, bk) in zip(products, pairs)]
+            factors = [fn(ak, bk).terms.items() for fn, ak, bk in zip(products, a, b)]
             for combo in itertools.product(*factors):
                 coeff = c * d
                 for _, factor_coeff in combo:
                     coeff *= factor_coeff
-                key = tuple(k for k, _ in combo) if tensor else combo[0][0]
-                acc.append((key, coeff))
+                acc.append((tuple(k for k, _ in combo), coeff))
     return Element(x.basis, acc)
 
 

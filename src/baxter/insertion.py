@@ -65,12 +65,14 @@ def _freeze(steps, children, labels):
     ``labels``, or unlabeled ``Node``s when ``labels`` is None."""
     left, right = children
     built = [None] * (len(left) + 1)
+    # ``tuple.__new__`` skips the NamedTuple constructor's Python frame
+    new = tuple.__new__
     if labels is None:
         for i in reversed(steps):
-            built[i] = Node(built[left[i]], built[right[i]])
+            built[i] = new(Node, (built[left[i]], built[right[i]]))
     else:
         for i in reversed(steps):
-            built[i] = LNode(labels[i], built[left[i]], built[right[i]])
+            built[i] = new(LNode, (labels[i], built[left[i]], built[right[i]]))
     return built[steps[0]] if steps else None
 
 

@@ -10,7 +10,8 @@ a meet is the reversed join of the reversals: it closes the union of
 the complemented sets.  The order, joins and meets run on one bit-mask
 row of co-inversions per value: one helper closes the rows in one pass
 and rebuilds the permutation by popcount, in O(n^2) int operations and
-with no sets.
+with no sets.  It is memoized on the rows it closes (1024 entries): a
+sweep of joins or meets closes few distinct sets of rows.
 
 The rows of a permutation are validated and built once per process, by
 the memo :func:`_rows` (an ``lru_cache`` bounded at 2048 entries, so a
@@ -120,27 +121,34 @@ def permutohedron_covers(sigma) -> set:
     return out
 
 
-def _closed_permutation(rows) -> tuple:
+# Joins and meets of many pairs close few distinct sets of rows: the
+# 14,400 ordered pairs of S_5 give 357 for joins and 357 for meets, and
+# (a, b) shares its rows with (b, a).
+@lru_cache(maxsize=1024)
+def _closed_permutation(rows: tuple) -> tuple:
     """The permutation whose co-inversion rows are the transitive
-    closure of ``rows`` (a list, closed in place).
+    closure of the tuple ``rows``.
 
     The rows are closed in one pass from the largest value ``v = n``
     down: row ``v`` takes in the rows of the values it holds, which are
-    larger and so closed already.  Then ``v`` is inserted at index
-    popcount(row ``v``) among the values above it, since exactly those
-    in its row come first.
+    larger and so closed already.  A row taken in holds its own closure,
+    so its bits need not be visited again.  Then ``v`` is inserted at
+    index popcount(row ``v``) among the values above it, since exactly
+    those in its row come first.
     """
+    closed = list(rows)
     result = []
-    for i in range(len(rows) - 1, -1, -1):
-        row = bits = rows[i]
+    for i in range(len(closed) - 1, -1, -1):
+        row = bits = closed[i]
         while bits:
             low = bits & -bits
-            row |= rows[low.bit_length() - 1]
-            bits ^= low
-        rows[i] = row
+            above = closed[low.bit_length() - 1]
+            row |= above
+            bits &= ~(low | above)
+        closed[i] = row
         result.insert(row.bit_count(), i + 1)
     result = tuple(result)
-    if _rows(result) != tuple(rows):
+    if _rows(result) != tuple(closed):
         raise RuntimeError("closed co-inversion set is not realizable")
     return result
 
@@ -155,7 +163,7 @@ def weak_order_join(sigma, nu) -> tuple:
     (3, 2, 1)
     """
     a, b = _same_size(sigma, nu)
-    return _closed_permutation(list(map(or_, a, b)))
+    return _closed_permutation(tuple(map(or_, a, b)))
 
 
 def weak_order_meet(sigma, nu) -> tuple:
@@ -174,7 +182,7 @@ def weak_order_meet(sigma, nu) -> tuple:
     a, b = _same_size(sigma, nu)
     full = (1 << len(a)) - 1
     # full >> i << i: the values above i
-    rows = [full >> i << i & ~(x & y) for i, (x, y) in enumerate(zip(a, b), 1)]
+    rows = tuple([full >> i << i & ~(x & y) for i, (x, y) in enumerate(zip(a, b), 1)])
     return _closed_permutation(rows)[::-1]
 
 

@@ -261,23 +261,53 @@ def graft_under(t0, t1):
     return t1
 
 
+def _path_to(t, i):
+    """The node at infix index ``i`` of ``t``, and the path down to it as
+    ``[ancestor, side]`` steps from the root, ``side`` 1 where the path
+    turns right.
+
+    One infix walk that never sizes a subtree: iterative, and linear in
+    the size of the tree.
+    """
+    path = []
+    node, seen = t, 0
+    while True:
+        while node is not None:
+            path.append([node, 0])
+            node = node.left
+        while path and path[-1][1]:
+            path.pop()  # that subtree is all seen
+        if not path:
+            raise ValueError(f"infix index {i} out of range")
+        seen += 1
+        if seen == i:
+            return path.pop()[0], path
+        path[-1][1] = 1
+        node = path[-1][0].right
+
+
+def _rebuild(path, t):
+    """Put ``t`` back where :func:`_path_to` found its node, bottom-up."""
+    for node, side in reversed(path):
+        t = Node(node.left, t) if side else Node(t, node.right)
+    return t
+
+
 def right_rotate(t, i):
     """Right rotation whose pivot is the node at infix index ``i``.
 
     The pivot's left child moves up: (A x B) y C  becomes  A x (B y C).
-    The pivot must have a nonempty left subtree.
+    The pivot must have a nonempty left subtree.  Iterative, so trees of
+    any depth work at the default recursion limit.
+
+    >>> tree_str(right_rotate(parse_tree("((. .) .)"), 2))
+    '(. (. .))'
     """
-    if t is None:
-        raise ValueError(f"infix index {i} out of range")
-    k = size(t.left) + 1
-    if i < k:
-        return Node(right_rotate(t.left, i), t.right)
-    if i > k:
-        return Node(t.left, right_rotate(t.right, i - k))
-    x = t.left
+    pivot, path = _path_to(t, i)
+    x = pivot.left
     if x is None:
         raise ValueError(f"node {i} has no left subtree; cannot rotate right")
-    return Node(x.left, Node(x.right, t.right))
+    return _rebuild(path, Node(x.left, Node(x.right, pivot.right)))
 
 
 def left_rotate(t, i):
@@ -285,19 +315,16 @@ def left_rotate(t, i):
 
     The pivot's right child moves up: A x (B y C)  becomes  (A x B) y C.
     The pivot must have a nonempty right subtree.  Inverse to
-    :func:`right_rotate` applied at the promoted node.
+    :func:`right_rotate` applied at the promoted node.  Iterative.
+
+    >>> tree_str(left_rotate(parse_tree("(. (. .))"), 1))
+    '((. .) .)'
     """
-    if t is None:
-        raise ValueError(f"infix index {i} out of range")
-    k = size(t.left) + 1
-    if i < k:
-        return Node(left_rotate(t.left, i), t.right)
-    if i > k:
-        return Node(t.left, left_rotate(t.right, i - k))
-    y = t.right
+    pivot, path = _path_to(t, i)
+    y = pivot.right
     if y is None:
         raise ValueError(f"node {i} has no right subtree; cannot rotate left")
-    return Node(Node(t.left, y.left), y.right)
+    return _rebuild(path, Node(Node(pivot.left, y.left), y.right))
 
 
 # ---------------------------------------------------------------------------
@@ -361,18 +388,18 @@ def tamari_vector(t) -> tuple:
     (1, 2, 3)
     """
     out = []
-    spine = []  # (node, its entry), deepest last
+    spine = []  # node, its entry, node, its entry, ...: deepest last
     node = t
     while True:
         first = len(out) + 1
         while node is not None:
-            spine.append((node, first))
+            spine.append(node)
+            spine.append(first)
             node = node.left
         if not spine:
             return tuple(out)
-        node, first = spine.pop()
-        out.append(first)
-        node = node.right
+        out.append(spine.pop())
+        node = spine.pop().right
 
 
 def tamari_leq(t0, t1) -> bool:

@@ -10,7 +10,8 @@ them at the documented bounds.
 It is also the one home of the brute-force oracles that the fast paths
 are compared against and never call: letter-by-letter leaf and root
 insertion, infix labelling, the search-tree predicates, co-inversion
-sets, the O(n^3) pattern scan and the generating-series identities.
+sets, the O(n^3) pattern scan, the position-set shuffle and the
+generating-series identities.
 Only the CLI and the tests import this module, and only this module
 imports the rewrite closure of :mod:`baxter.congruence`.
 
@@ -24,8 +25,10 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
+from typing import NamedTuple
 
 from . import hopf
 from .congruence import KINDS, congruence_class
@@ -89,8 +92,7 @@ CONNECTED_COUNTS = (0, 1, 1, 3, 11, 47, 221, 1113)
 TOTALLY_PRIMITIVE_DIMS = (0, 1, 0, 1, 4, 19)
 
 
-@dataclass
-class Check:
+class Check(NamedTuple):
     """One named pass/fail record with a short failure detail."""
 
     name: str
@@ -142,6 +144,21 @@ def congruence_partition(words, kind):
             ids[member] = next_id
         next_id += 1
     return ids
+
+
+# The suites partition the same few domains again and again: a pass of
+# all of them asks for at most 23, the largest of 5,460 words.  The maps
+# are shared, so callers read them and never write.
+@lru_cache(maxsize=32)
+def _word_partition(alphabet_size, max_len, kind):
+    """:func:`congruence_partition` of ``words_up_to(alphabet_size, max_len)``."""
+    return congruence_partition(words_up_to(alphabet_size, max_len), kind)
+
+
+@lru_cache(maxsize=32)
+def _perm_partition(n, kind):
+    """:func:`congruence_partition` of the permutations of length ``n``."""
+    return congruence_partition(all_perms(n), kind)
 
 
 def partitions_equal(ids_a, ids_b) -> bool:
@@ -278,6 +295,27 @@ def _is_baxter_scan(sigma) -> bool:
                 if b < d < a < c:  # pattern 3142
                     return False
     return True
+
+
+def _position_shuffle(u, v) -> Counter:
+    """All interleavings of ``u`` and ``v``, one per set of positions that
+    ``u`` takes; the oracle for :func:`~baxter.words.shuffle`.
+
+    >>> sorted(_position_shuffle((1,), (1, 2)).items())
+    [((1, 1, 2), 2), ((1, 2, 1), 1)]
+    """
+    n, m = len(u), len(v)
+    out = Counter()
+    for positions in itertools.combinations(range(n + m), n):
+        word = [0] * (n + m)
+        taken = set(positions)
+        for letter, pos in zip(u, positions):
+            word[pos] = letter
+        rest = (i for i in range(n + m) if i not in taken)
+        for letter, pos in zip(v, rest):
+            word[pos] = letter
+        out[tuple(word)] += 1
+    return out
 
 
 def _series_mul(a, b, nmax):
@@ -685,13 +723,13 @@ def congruence_suite(max_n=5):
     inter_ok = True
     for k in range(1, n + 1):
         perms = all_perms(k)
-        parts = {kind: congruence_partition(perms, kind) for kind in KINDS}
+        parts = {kind: _perm_partition(k, kind) for kind in KINDS}
         both = {p: (parts["sylvester"][p], parts["sylvester_sharp"][p]) for p in perms}
         if not partitions_equal(parts["baxter"], both):
             inter_ok = False
     word_len = min(max_n, 5)
     word_domain = words_up_to(3, word_len)
-    parts = {kind: congruence_partition(word_domain, kind) for kind in KINDS}
+    parts = {kind: _word_partition(3, word_len, kind) for kind in KINDS}
     both = {
         w: (parts["sylvester"][w], parts["sylvester_sharp"][w]) for w in word_domain
     }
@@ -710,7 +748,7 @@ def congruence_suite(max_n=5):
 
     length = min(max_n, 6)
     domain = words_up_to(4, length)
-    baxter_ids = congruence_partition(domain, "baxter")
+    baxter_ids = _word_partition(4, length, "baxter")
     groups = {}
     for w, cid in baxter_ids.items():
         groups.setdefault(cid, []).append(w)
@@ -735,11 +773,9 @@ def congruence_suite(max_n=5):
         f"over 4 letters)", restrict_ok))
     checks.append(_check("reverse-complement maps classes to classes", sch_ok))
 
-    perm_parts = {
-        k: congruence_partition(all_perms(k), "baxter") for k in range(1, length + 1)
-    }
     signatures = {
-        w: (evaluation(w), perm_parts[len(w)][standardize(w)]) for w in domain
+        w: (evaluation(w), _perm_partition(len(w), "baxter")[standardize(w)])
+        for w in domain
     }
     checks.append(_check(
         "equivalence is standardization plus evaluation equality",
@@ -747,8 +783,7 @@ def congruence_suite(max_n=5):
 
     cat_len = min(max_n, 4)
     cat_ok = True
-    cat_domain = words_up_to(3, cat_len)
-    cat_ids = congruence_partition(cat_domain, "baxter")
+    cat_ids = _word_partition(3, cat_len, "baxter")
     cat_groups = {}
     for w, cid in cat_ids.items():
         cat_groups.setdefault(cid, []).append(w)
@@ -776,7 +811,7 @@ def insertion_suite(max_n=5):
 
     length = min(max_n, 6)
     domain = words_up_to(4, length)
-    baxter_ids = congruence_partition(domain, "baxter")
+    baxter_ids = _word_partition(4, length, "baxter")
     symbol_ids = {}
     by_symbol = {}
     for w in domain:

@@ -10,7 +10,6 @@ shuffle of permutations.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 
 
@@ -18,6 +17,10 @@ def check_word(u) -> tuple:
     """Validate and normalize ``u`` to a tuple of letters >= 1."""
     w = tuple(u)
     for a in w:
+        # the common case first; int subclasses other than bool (an
+        # ``IntEnum`` letter, say) pass the full test below
+        if type(a) is int and a >= 1:
+            continue
         if not isinstance(a, int) or isinstance(a, bool) or a < 1:
             raise ValueError(f"letters must be integers >= 1, got {a!r}")
     return w
@@ -47,7 +50,7 @@ def standardize(u) -> tuple:
     ()
     """
     w = check_word(u)
-    order = sorted(range(len(w)), key=lambda i: (w[i], i))
+    order = sorted(range(len(w)), key=w.__getitem__)  # stable: ties by index
     std = [0] * len(w)
     for val, i in enumerate(order, start=1):
         std[i] = val
@@ -100,6 +103,27 @@ def schuetzenberger(u) -> tuple:
     return tuple(m - a for a in reversed(w))
 
 
+def _interleavings(a: tuple, b: tuple) -> list:
+    """Every interleaving of the tuples ``a`` and ``b``, once per way of
+    carving its positions into an ``a``-part and a ``b``-part.
+
+    Built prefix by prefix: after the first ``i`` letters of ``a``,
+    ``row[j]`` holds the interleavings of ``a[:i]`` and ``b[:j]``, and
+    each step extends every one of them by a single letter.
+
+    >>> sorted(_interleavings((1, 2), (3,)))
+    [(1, 2, 3), (1, 3, 2), (3, 1, 2)]
+    """
+    singles = [(y,) for y in b]
+    row = [[b[:j]] for j in range(len(b) + 1)]
+    for x in a:
+        x = (x,)
+        prev, row = row, [[w + x for w in row[0]]]
+        for j, y in enumerate(singles, 1):
+            row.append([w + x for w in prev[j]] + [w + y for w in row[j - 1]])
+    return row[-1]
+
+
 def shuffle(u, v) -> Counter:
     """Multiset of all interleavings of ``u`` and ``v``.
 
@@ -112,19 +136,7 @@ def shuffle(u, v) -> Counter:
     >>> shuffle((1,), (1,))
     Counter({(1, 1): 2})
     """
-    a, b = check_word(u), check_word(v)
-    n, m = len(a), len(b)
-    out = Counter()
-    for positions in itertools.combinations(range(n + m), n):
-        word = [0] * (n + m)
-        taken = set(positions)
-        for letter, pos in zip(a, positions):
-            word[pos] = letter
-        rest = (i for i in range(n + m) if i not in taken)
-        for letter, pos in zip(b, rest):
-            word[pos] = letter
-        out[tuple(word)] += 1
-    return out
+    return Counter(_interleavings(check_word(u), check_word(v)))
 
 
 def shifted_shuffle(sigma, nu) -> set:
@@ -144,7 +156,7 @@ def shifted_shuffle(sigma, nu) -> set:
         if not is_permutation(w):
             raise ValueError(f"not a permutation: {w}")
     shifted = tuple(a + len(s) for a in t)
-    return set(shuffle(s, shifted))
+    return set(_interleavings(s, shifted))
 
 
 def word_str(u) -> str:

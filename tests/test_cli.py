@@ -348,6 +348,17 @@ def test_missing_argument_exits_two(capsys):
     assert code == 2
 
 
+def test_cached_parser_gives_the_same_results_on_repeated_calls(capsys):
+    assert baxter.cli._parser() is baxter.cli._parser()
+    first = run_cli(capsys, "insert", "5425424", "--plain")
+    # an error exit in between leaves the shared parser as it was
+    assert run_cli(capsys, "insert")[0] == 2
+    assert run_cli(capsys, "insert", "5425424", "--plain") == first
+    assert run_cli(capsys, "product", "--basis", "E", "[ (. .) | (. .) ]",
+                   "[ (. .) | (. .) ]")[0] == 0
+    assert run_cli(capsys, "insert", "5425424", "--plain") == first
+
+
 def test_malformed_word_exits_two(capsys):
     code, _, err = run_cli(capsys, "insert", "12x")
     assert code == 2

@@ -21,6 +21,22 @@ def test_from_rows_drops_zeros_and_normalizes():
     assert isinstance(m[1, 1], Fraction)
 
 
+def test_matrices_are_immutable_values_and_unhashable():
+    m = RationalMatrix(2, 2, {(0, 0): Fraction(4, 2), (1, 0): 0})
+    assert m == RationalMatrix(2, 2, {(0, 0): 2})
+    assert m != RationalMatrix(2, 3, {(0, 0): 2})
+    assert m != (2, 2, {(0, 0): 2})
+    assert RationalMatrix(1, 1) == RationalMatrix(1, 1, {})
+    assert type(m.entries[0, 0]) is Fraction
+    with pytest.raises(AttributeError):
+        m.rows = 3
+    with pytest.raises(AttributeError):
+        del m.entries
+    with pytest.raises(TypeError):
+        hash(m)
+    assert repr(RationalMatrix(1, 2)) == "RationalMatrix(rows=1, cols=2, entries={})"
+
+
 def test_construction_rejects_bad_positions():
     with pytest.raises(ValueError):
         RationalMatrix(1, 1, {(0, 2): 1})

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -158,6 +159,25 @@ def test_half_products_split_by_last_letter():
     y = f_element((1, 2))
     full = f_product(y, x)
     assert (f_prec(y, x) + f_succ(y, x)).terms == full.terms
+
+
+def test_half_products_match_the_filtered_shuffle():
+    # all permutation pairs with |s| + |t| <= 6, an empty factor included
+    perms = [p for n in range(7) for p in itertools.permutations(range(1, n + 1))]
+    for s, t in itertools.product(perms, repeat=2):
+        if len(s) + len(t) > 6:
+            continue
+        x, y = Element("F", {s: 2}), Element("F", {t: Fraction(1, 3)})
+        full = f_product(x, y).terms
+        from_left = {p: c for p, c in full.items() if p and p[-1] <= len(s)}
+        from_right = {p: c for p, c in full.items() if p and p[-1] > len(s)}
+        assert f_prec(x, y).terms == from_left, (s, t)
+        assert f_succ(x, y).terms == from_right, (s, t)
+    for half in (f_prec, f_succ):
+        with pytest.raises(ValueError, match="not a permutation"):
+            half(Element("F", {(1, 1): 1}), f_element((1,)))
+        with pytest.raises(ValueError, match="not a permutation"):
+            half(f_element((1,)), Element("F", {(2,): 1}))
 
 
 def test_half_coproducts_split_at_the_maximum():

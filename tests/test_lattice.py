@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 
@@ -179,3 +180,19 @@ def test_hasse_dot_output():
     assert dot.rstrip().endswith("}")
     for pair in enumerate_tbt(2):
         assert pair_str(pair) in dot
+
+
+def test_covers_of_deep_pairs_at_the_default_recursion_limit():
+    n = 1100
+    bottom = p_shape(tuple(range(1, n + 1)))
+    top = p_shape(tuple(range(n, 0, -1)))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # CPython's default
+    try:
+        # every rotation walks a path up to n nodes long
+        covers = baxter_covers(bottom)
+        assert len(covers) == n - 1
+        assert {c.case for c in covers} == {"simultaneous"}
+        assert baxter_covers(top) == frozenset()
+    finally:
+        sys.setrecursionlimit(limit)

@@ -2,10 +2,15 @@
 
 ``baxter.verify`` is the one home of the paper's literal definitions:
 only the CLI imports it, and only it imports the rewrite closure of
-``baxter.congruence``.  The library modules keep only what they run.
+``baxter.congruence``.  The library modules keep only what they run,
+and importing the CLI loads no ``dataclasses`` (which brings in
+``inspect``, ``ast``, ``dis`` and ``tokenize``).
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 from types import ModuleType
 
@@ -18,6 +23,7 @@ MOVED = {
     "leaf_insert", "root_insert", "infix_labeling", "is_left_bst",
     "is_right_bst", "_bounds_ok", "is_decreasing", "co_inversions",
     "_is_baxter_scan", "series_check", "_series_mul", "_series_inv",
+    "_position_shuffle",
 }
 # Defined nowhere in the package.
 DELETED = {
@@ -91,3 +97,13 @@ def test_the_package_exports_only_functions_and_classes():
     assert not [n for n, obj in exported.items() if isinstance(obj, ModuleType)]
     assert all(callable(obj) for obj in exported.values())
     assert not ORACLES & set(exported)
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, baxter.cli; assert 'dataclasses' not in sys.modules"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr

@@ -212,9 +212,19 @@ def test_rows_memo_is_bounded():
     assert _rows.cache_info().maxsize is not None
 
 
+def test_closure_memo_is_bounded_and_shared_by_swapped_pairs():
+    assert _closed_permutation.cache_info().maxsize is not None
+    _closed_permutation.cache_clear()
+    a, b = (2, 1, 4, 3, 5), (1, 3, 2, 5, 4)
+    join = weak_order_join(a, b)
+    assert weak_order_join(b, a) == join == weak_order_join(join, a)
+    info = _closed_permutation.cache_info()
+    assert (info.hits, info.misses) == (1, 2)
+
+
 def test_closed_permutation_rejects_rows_no_permutation_has():
     with pytest.raises(RuntimeError, match="not realizable"):
-        _closed_permutation([0b1])
+        _closed_permutation((0b1,))
 
 
 def test_is_baxter_small_cases():

@@ -150,6 +150,32 @@ def test_rotation_preserves_infix_order():
                 _try_left(r, j) == t for j in range(1, 6))
 
 
+def test_rotations_of_deep_combs_at_the_default_recursion_limit():
+    n = 2000
+    left_comb = parse_tree("(" * n + "." + " .)" * n)
+    right_comb = parse_tree("(. " * n + "." + ")" * n)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # CPython's default
+    try:
+        # the deepest pivots, about n nodes down, and the roots; deep trees
+    # are compared by their text, since ``==`` on them recurses
+        deep = right_rotate(left_comb, 2)
+        assert tamari_vector(deep) == (1, 2) + (1,) * (n - 2)
+        assert tree_str(left_rotate(deep, 1)) == tree_str(left_comb)
+        deep = left_rotate(right_comb, n - 1)
+        assert tamari_vector(deep) == tuple(range(1, n - 1)) + (n - 1, n - 1)
+        assert tree_str(right_rotate(deep, n)) == tree_str(right_comb)
+        top = right_rotate(left_comb, n)
+        assert tamari_vector(top) == (1,) * (n - 1) + (n,)
+        assert tree_str(left_rotate(top, n - 1)) == tree_str(left_comb)
+        with pytest.raises(ValueError, match=f"node {n} has no right subtree"):
+            left_rotate(left_comb, n)
+        with pytest.raises(ValueError, match=f"infix index {n + 1} out of range"):
+            right_rotate(right_comb, n + 1)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 def _try_left(t, j):
     try:
         return left_rotate(t, j)

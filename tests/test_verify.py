@@ -69,6 +69,18 @@ def test_congruence_partition_groups_classes():
     assert ids[(2, 1, 3)] != ids[(1, 3, 2)]
 
 
+def test_partition_cache_gives_the_uncached_partition_every_time():
+    for kind in ("baxter", "sylvester", "sylvester_sharp"):
+        first = verify._word_partition(3, 4, kind)
+        assert first == congruence_partition(words_up_to(3, 4), kind)
+        assert verify._word_partition(3, 4, kind) == first
+        perms = verify._perm_partition(4, kind)
+        assert perms == congruence_partition(verify.all_perms(4), kind)
+        assert verify._perm_partition(4, kind) == perms
+    for cached in (verify._word_partition, verify._perm_partition):
+        assert cached.cache_info().maxsize is not None
+
+
 # Mutation cases: each replaces one kernel as ``baxter.verify`` sees it
 # and asserts that the check built to catch it reports a failure.
 

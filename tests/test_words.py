@@ -1,9 +1,13 @@
+import enum
+import itertools
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
+from baxter.verify import _position_shuffle
 from baxter.words import (
+    check_word,
     evaluation,
     parse_word,
     restrict,
@@ -13,6 +17,11 @@ from baxter.words import (
     standardize,
     word_str,
 )
+
+def _words_123(max_len):
+    """Every word over {1, 2, 3} of length at most ``max_len``, the empty one too."""
+    return [w for k in range(max_len + 1) for w in itertools.product((1, 2, 3), repeat=k)]
+
 
 words_st = st.lists(st.integers(min_value=1, max_value=6), min_size=0, max_size=8).map(tuple)
 
@@ -83,6 +92,33 @@ def test_shuffle_multiplicities():
 def test_shuffle_total_count_is_binomial(u, v):
     got = shuffle(u, v)
     assert sum(got.values()) == math.comb(len(u) + len(v), len(u))
+
+
+def test_shuffle_matches_the_position_set_oracle():
+    words = _words_123(4)
+    for u, v in itertools.product(words, repeat=2):
+        assert shuffle(u, v) == _position_shuffle(u, v), (u, v)
+
+
+def test_standardize_matches_the_letter_then_index_sort():
+    for w in _words_123(6):
+        order = sorted(range(len(w)), key=lambda i: (w[i], i))
+        expected = [0] * len(w)
+        for value, i in enumerate(order, 1):
+            expected[i] = value
+        assert standardize(w) == tuple(expected), w
+
+
+class Letter(enum.IntEnum):
+    TWO = 2
+
+
+def test_check_word_rejects_non_letters_with_one_message():
+    for bad in (True, 1.0, 0):
+        with pytest.raises(ValueError, match=rf"^letters must be integers >= 1, got {bad!r}$"):
+            check_word((1, bad))
+    assert check_word([Letter.TWO, 1]) == (2, 1)
+    assert type(check_word([Letter.TWO])[0]) is Letter
 
 
 def test_shifted_shuffle_shifts_the_second_factor():
