@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from .errors import InternalInvariantError
 from .perms import is_baxter
-from .trees import LNode, Node, canopies_complementary, canopy, pair_str
+from .trees import LNode, Node, canopies_complementary, canopy, infix_edges, pair_str
 from .words import check_word
 
 
@@ -162,29 +162,6 @@ def p_shape(u):
     return out
 
 
-def _infix_edges(t):
-    """Node count and (parent, child) edges of ``t``, its nodes numbered
-    1..n in infix order.  Iterative, so trees of any depth work."""
-    edges = []
-    spine = []  # [node, parent's number if a right child else 0, left child's]
-    node, parent, n = t, 0, 0
-    while True:
-        while node is not None:
-            spine.append([node, parent, 0])
-            node, parent = node.left, 0
-        if not spine:
-            return n, edges
-        node, parent, left = spine.pop()
-        n += 1
-        if left:
-            edges.append((n, left))
-        if parent:
-            edges.append((parent, n))
-        elif spine:  # a left child, pushed right above its parent
-            spine[-1][2] = n
-        node, parent = node.right, n
-
-
 def _linear_extensions(n, preds):
     """All orderings of 1..n in which each value follows its ``preds``.
 
@@ -240,11 +217,11 @@ def class_of_pair(pair) -> frozenset:
     [(2, 1, 4, 3), (2, 4, 1, 3)]
     """
     check_twin_pair(pair)
-    n, left_edges = _infix_edges(pair[0])
+    n, left_edges = infix_edges(pair[0])
     preds = {v: set() for v in range(1, n + 1)}
     for parent, child in left_edges:
         preds[child].add(parent)  # left tree: ancestors first
-    for parent, child in _infix_edges(pair[1])[1]:
+    for parent, child in infix_edges(pair[1])[1]:
         preds[parent].add(child)  # right tree: ancestors last
     return frozenset(_linear_extensions(n, preds))
 
@@ -252,7 +229,7 @@ def class_of_pair(pair) -> frozenset:
 @lru_cache(maxsize=None)
 def sylvester_class_of_tree(t) -> frozenset:
     """All permutations whose root-insertion (right BST) shape is ``t``."""
-    n, edges = _infix_edges(t)
+    n, edges = infix_edges(t)
     preds = {v: set() for v in range(1, n + 1)}
     for parent, child in edges:
         preds[parent].add(child)

@@ -4,7 +4,9 @@ Vertices are twin pairs (equal size, complementary canopies); the order
 compares rotation vectors contravariantly on the left tree and
 covariantly on the right tree.  It is the image of the right weak order
 under insertion: covers rotate one tree keeping its canopy, or both
-trees at the same canopy position.  Meets and joins project the weak
+trees at the same canopy position.  A rotation keeps the canopy unless
+the subtree it moves across is empty, so :func:`baxter_covers` reads the
+covers off the infix-numbered tree edges.  Meets and joins project the weak
 order meet/join of class extremes.  :func:`enumerate_tbt` lists the
 pairs of a degree in canonical order and :func:`hasse` their covers;
 the order-sum tables of :mod:`baxter.hopf` are built from these alone.
@@ -19,12 +21,11 @@ from . import config
 from .insertion import check_twin_pair, max_perm, min_perm, p_shape
 from .perms import weak_order_join, weak_order_meet
 from .trees import (
-    canopy,
     complement_canopy,
+    infix_edges,
     left_rotate,
     pair_str,
     right_rotate,
-    size,
     tamari_leq,
     trees_by_canopy,
 )
@@ -68,45 +69,29 @@ def baxter_leq(j0, j1) -> bool:
     return tamari_leq(j1[0], j0[0]) and tamari_leq(j0[1], j1[1])
 
 
-def _diff_bit(c0: str, c1: str) -> int:
-    diffs = [i for i, (a, b) in enumerate(zip(c0, c1)) if a != b]
-    if len(diffs) != 1:
-        raise RuntimeError("rotation changed more than one canopy bit")
-    return diffs[0]
-
-
 def baxter_covers(j) -> frozenset:
-    """The covers of ``j``: canopy-preserving left rotations of the left
-    tree, canopy-preserving right rotations of the right tree, and
-    simultaneous canopy-changing rotations at a shared position.
+    """The covers of ``j``, from the (parent, child) edges of its trees
+    numbered 1..n in infix order.  A rotation keeps the canopy unless the
+    subtree it moves across is empty, so: a left-tree edge (p, c) with
+    c > p + 1 gives the *left-only* ``left_rotate(left, p)``; a right-tree
+    edge (p, c) with c < p - 1 the *right-only* ``right_rotate(right, p)``;
+    and left edge (i, i + 1) with right edge (i + 1, i) the *simultaneous*
+    ``left_rotate(left, i)``, ``right_rotate(right, i + 1)``, which flip
+    the same canopy bit.  Output-sensitive: one walk of each tree, then
+    one rotation (a walk to its pivot and a path rebuild) per cover.
 
     >>> [c.case for c in baxter_covers(p_shape((1, 2)))]
     ['simultaneous']
     """
     tl, tr = check_twin_pair(j)
-    n = size(tl)
-    if n < 2:
-        return frozenset()
-    covers = set()
-    sides = ((tl, left_rotate, "left-only"), (tr, right_rotate, "right-only"))
-    changing = ({}, {})  # per side: canopy bit -> the tree rotated there
-    for side, (tree, rotate, case) in enumerate(sides):
-        c = canopy(tree)
-        for i in range(1, n + 1):
-            try:
-                rotated = rotate(tree, i)
-            except ValueError:
-                continue
-            c2 = canopy(rotated)
-            if c2 == c:
-                target = (rotated, tr) if side == 0 else (tl, rotated)
-                covers.add(PairCover(target, case))
-            else:
-                changing[side][_diff_bit(c, c2)] = rotated
-    for bit, new_left in changing[0].items():
-        new_right = changing[1].get(bit)
-        if new_right is not None:
-            covers.add(PairCover((new_left, new_right), "simultaneous"))
+    left_edges, right_edges = infix_edges(tl)[1], infix_edges(tr)[1]
+    covers = [PairCover((left_rotate(tl, p), tr), "left-only")
+              for p, c in left_edges if c > p + 1]
+    covers += [PairCover((tl, right_rotate(tr, p)), "right-only")
+               for p, c in right_edges if c < p - 1]
+    falls = {c for p, c in right_edges if c == p - 1}
+    covers += [PairCover((left_rotate(tl, p), right_rotate(tr, c)), "simultaneous")
+               for p, c in left_edges if c == p + 1 and p in falls]
     return frozenset(covers)
 
 

@@ -288,8 +288,8 @@ def _path_to(t, i):
 
 def _rebuild(path, t):
     """Put ``t`` back where :func:`_path_to` found its node, bottom-up."""
-    for node, side in reversed(path):
-        t = Node(node.left, t) if side else Node(t, node.right)
+    for node, side in reversed(path):  # tuple.__new__ skips Node's Python frame
+        t = tuple.__new__(Node, (node.left, t) if side else (t, node.right))
     return t
 
 
@@ -329,6 +329,34 @@ def left_rotate(t, i):
 
 # ---------------------------------------------------------------------------
 # canopy and the rotation (Tamari) order
+
+
+def infix_edges(t):
+    """Node count and (parent, child) edges of ``t``, its nodes numbered
+    1..n in infix order: a right child above its parent, a left child
+    below.  Iterative, so trees of any depth work.
+
+    >>> infix_edges(parse_tree("((. .) (. .))"))
+    (3, [(2, 1), (2, 3)])
+    """
+    edges = []
+    spine = []  # [node, parent's number if a right child else 0, left child's]
+    node, parent, n = t, 0, 0
+    while True:
+        while node is not None:
+            spine.append([node, parent, 0])
+            node, parent = node.left, 0
+        if not spine:
+            return n, edges
+        node, parent, left = spine.pop()
+        n += 1
+        if left:
+            edges.append((n, left))
+        if parent:
+            edges.append((parent, n))
+        elif spine:  # a left child, pushed right above its parent
+            spine[-1][2] = n
+        node, parent = node.right, n
 
 
 def canopy(t) -> str:

@@ -197,14 +197,19 @@ def parse_word(text: str) -> tuple:
     parts = text.replace(",", " ").split()
     if not parts:
         raise ValueError("empty word text")
-    if len(parts) == 1 and parts[0].isdigit() and len(parts[0]) > 1:
+    if len(parts) == 1 and parts[0].isdecimal() and len(parts[0]) > 1:
         if "0" not in parts[0]:
             return check_word(int(c) for c in parts[0])
         # a 0 digit cannot be a letter; fall through to integer parsing
     try:
         letters = [int(p) for p in parts]
     except ValueError:
-        bad = next(p for p in parts if not p.lstrip("-").isdigit())
-        at = text.index(bad)
-        raise ValueError(f"not an integer: {bad!r} (at position {at})") from None
+        at = 0
+        for p in parts:  # report the first token that int() rejects
+            at = text.index(p, at)
+            try:
+                int(p)
+            except ValueError:
+                raise ValueError(f"not an integer: {p!r} (at position {at})") from None
+            at += len(p)
     return check_word(letters)

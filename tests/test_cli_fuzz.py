@@ -11,7 +11,7 @@ short words, and deep inputs only where the work is near-linear.
 import contextlib
 import io
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from baxter.cli import main
 from baxter.verify import SUITES
@@ -98,5 +98,8 @@ ARGVS = st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(ARGVS, PLAIN)
+@example(["insert", "1 --2"], [])
+@example(["class", "1 ²"], [])
+@example(["check-baxter", "①"], ["--plain"])
 def test_every_argv_exits_with_a_documented_code(argv, plain):
     run(argv + plain)

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from baxter import insertion
 from baxter.congruence import congruence_class
 from baxter.insertion import (
-    _infix_edges,
     baxter_representative,
     check_twin_pair,
     class_of_pair,
@@ -24,6 +23,7 @@ from baxter.trees import (
     Node,
     all_trees,
     canopy,
+    infix_edges,
     ltree_str,
     pair_str,
     tree_str,
@@ -306,6 +306,6 @@ def _labeled_edges(t):
 def test_infix_edges_match_the_infix_labeling():
     for n in range(9):
         for t in all_trees(n):
-            count, edges = _infix_edges(t)
+            count, edges = infix_edges(t)
             assert count == n
             assert sorted(edges) == sorted(_labeled_edges(infix_labeling(t)))

@@ -1,10 +1,13 @@
+import hashlib
 import itertools
 import sys
+from collections import Counter
 
 import pytest
 
+from baxter.cli import main
 from baxter.hopf import Element, e_from_p, h_from_p
-from baxter.insertion import min_perm, p_shape
+from baxter.insertion import is_twin_pair, min_perm, p_shape
 from baxter.lattice import (
     PairCover,
     baxter_covers,
@@ -16,7 +19,7 @@ from baxter.lattice import (
     hasse_dot,
 )
 from baxter.perms import permutohedron_leq
-from baxter.trees import pair_str, parse_pair, tamari_vector
+from baxter.trees import pair_str, parse_pair, tamari_vector, tree_str
 
 
 def all_perms(n):
@@ -115,17 +118,44 @@ def test_order_transports_the_weak_order():
                     assert permutohedron_leq(min_perm(a), min_perm(b))
 
 
+# Which trees a cover of each case rotates: (left, right).
+MOVED = {"left-only": (True, False), "right-only": (False, True),
+         "simultaneous": (True, True)}
+
+
 def test_covers_report_their_case():
     j12 = parse_pair("[ (. (. .)) | ((. .) .) ]")
     covers = baxter_covers(j12)
     assert covers == frozenset(
         {PairCover(parse_pair("[ ((. .) .) | (. (. .)) ]"), "simultaneous")})
-    for n in range(1, 6):
+    for n in range(1, 7):
         for pair in enumerate_tbt(n):
             for cov in baxter_covers(pair):
-                assert cov.case in {"left-only", "right-only", "simultaneous"}
+                left, right = cov.target
+                assert (left != pair[0], right != pair[1]) == MOVED[cov.case]
+                assert is_twin_pair(cov.target)
                 assert baxter_leq(pair, cov.target)
-                assert pair != cov.target
+
+
+def test_covers_of_a_deep_pair_follow_the_edge_rule():
+    word = list(range(1, 1101))
+    for i in range(2, 1003, 100):
+        word[i], word[i + 1] = word[i + 1], word[i]
+    pair = p_shape(tuple(word))
+    texts = tuple(map(tree_str, pair))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # CPython's default
+    try:
+        covers = baxter_covers(pair)
+        assert Counter(c.case for c in covers) == {
+            "simultaneous": 1066, "left-only": 11, "right-only": 11}
+        for cov in covers:
+            # deep trees compare by text: tuple == recurses
+            left, right = map(tree_str, cov.target)
+            assert (left != texts[0], right != texts[1]) == MOVED[cov.case]
+            assert is_twin_pair(cov.target)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_covers_generate_the_order():
@@ -196,3 +226,12 @@ def test_covers_of_deep_pairs_at_the_default_recursion_limit():
         assert baxter_covers(top) == frozenset()
     finally:
         sys.setrecursionlimit(limit)
+
+
+def test_lattice_7_json_output_is_pinned_by_digest(capsys):
+    # the CLI's top degree: 2,620 pairs and 6,768 covers, in canonical
+    # order with their cases; recorded before covers were read off edges
+    assert main(["lattice", "7"]) == 0
+    out = capsys.readouterr().out
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == "d463bceda88bd917abbf3ecd082fefa789a985523a7445715f71b6d2b93c74e5"

@@ -155,3 +155,15 @@ def test_parse_word_rejects_garbage_with_position():
         parse_word("")
     with pytest.raises(ValueError):
         parse_word("0 1")
+
+
+@pytest.mark.parametrize("text, bad, at", [
+    ("1 --2", "--2", 2),  # digits after the minus signs, yet no integer
+    ("1 ²", "²", 2),  # a digit that int() rejects
+    ("① 2", "①", 0),
+    ("²²", "²²", 0),  # not read one letter per digit
+    ("5_0 _0", "_0", 4),  # int() takes "5_0"; "_0" also occurs inside it
+])
+def test_parse_word_reports_the_first_token_int_rejects(text, bad, at):
+    with pytest.raises(ValueError, match=rf"^not an integer: {bad!r} \(at position {at}\)$"):
+        parse_word(text)
