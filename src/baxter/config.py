@@ -13,7 +13,7 @@ are ordinary module attributes and may be raised at runtime, e.g.::
 ENUM_DEGREE_CAP = 7
 
 # Largest total degree accepted by products and coproducts in the
-# class-sum bases (each unit of degree multiplies the expansion size).
+# class-sum bases (coproducts expand classes; products walk intervals).
 PRODUCT_DEGREE_CAP = 6
 
 

@@ -85,11 +85,8 @@ def congruence_class(u, kind: str) -> frozenset:
 
 
 def equivalent(u, v, kind: str) -> bool:
-    """Whether ``u`` and ``v`` are congruent.
-
-    For the baxter congruence this compares insertion tableaux (the pair
-    of twin binary search trees), which is equivalent to the rewriting
-    closure; the other kinds use the closure directly.
+    """Whether ``u`` and ``v`` are congruent: whether ``v`` lies in the
+    rewriting closure of ``u``, for every kind.
 
     >>> equivalent((2, 1, 4, 3), (2, 4, 1, 3), "baxter")
     True
@@ -98,8 +95,4 @@ def equivalent(u, v, kind: str) -> bool:
     _check_kind(kind)
     if sorted(w) != sorted(x):
         return False
-    if kind == "baxter":
-        from .insertion import p_symbol
-
-        return p_symbol(w) == p_symbol(x)
     return x in congruence_class(w, kind)

@@ -9,6 +9,8 @@ subalgebra indexed by twin pairs, with the order-sum bases ``E`` and
 ``H`` on top of it.  The graded dual carries ``Fstar`` and the quotient
 basis ``Pstar``.  ``Psylv`` indexes class sums of the sylvester
 congruence (shapes of single right trees), which embed via ``rho``.
+Products of class sums walk lattice intervals, the paper's rule; the P
+coproduct expands into F and collects back.
 
 Elements are finite rational linear combinations of keys in one named
 basis; a tensor is an :class:`Element` whose basis is a tuple of names
@@ -59,6 +61,7 @@ from .trees import (
     graft_under,
     pair_str,
     size as tree_size,
+    tamari_interval,
     tamari_vector,
     tree_str,
     trees_by_canopy,
@@ -418,53 +421,49 @@ def collect(x: Element, basis: str) -> Element:
     return Element((basis,) * len(names) if tensor else basis, out)
 
 
-def _collected(x: Element, basis: str, what: str) -> Element:
-    """``collect(x, basis)``, where a failure to collect is a bug."""
-    try:
-        return collect(x, basis)
-    except NotInSubalgebraError as exc:
-        raise InternalInvariantError(f"{what} failed to collect: {exc}") from exc
-
-
-def _class_product(basis: str, k0, k1) -> Element:
-    """Product of two class sums of ``basis``, collected back into it."""
-    x0, x1 = (_class_sums(basis, Element(basis, {k: 1})) for k in (k0, k1))
-    return _collected(element_product(x0, x1), basis, "product of class sums")
-
-
 def _check_degree(basis: str, *keys):
     config.check_product_degree(sum(key_degree(basis, k) for k in keys))
 
 
-def _capped_cache(basis: str):
-    """Cache an operation on keys of ``basis``, checking the degree cap
-    first: the cache hashes the keys, which recurses in C and crashes on
-    deep enough trees.  The check runs on cache hits too, since
-    ``lru_cache`` hashes a key before it knows whether it holds it."""
+def _capped_cache(fn):
+    """Cache an operation on twin pairs, checking the degree cap first:
+    the cache hashes the pairs, which recurses in C and crashes on deep
+    enough trees.  The check runs on cache hits too, since ``lru_cache``
+    hashes a key before it knows whether it holds it."""
+    cached = lru_cache(maxsize=None)(fn)
 
-    def decorate(fn):
-        cached = lru_cache(maxsize=None)(fn)
+    @wraps(fn)
+    def checked(*keys):
+        _check_degree("P", *keys)
+        return cached(*keys)
 
-        @wraps(fn)
-        def checked(*keys):
-            _check_degree(basis, *keys)
-            return cached(*keys)
-
-        checked.cache_info, checked.cache_clear = cached.cache_info, cached.cache_clear
-        return checked
-    return decorate
+    checked.cache_info, checked.cache_clear = cached.cache_info, cached.cache_clear
+    return checked
 
 
-@_capped_cache("P")
+@_capped_cache
 def p_product(j0, j1) -> Element:
-    """Product of two P basis elements, collected back into P."""
-    return _class_product("P", j0, j1)
+    """Product of two P basis elements: P summed over the lattice interval
+    [``pair_over``, ``pair_under``], the twin pairs of the rotation
+    intervals of the left and the right trees' grafts."""
+    (left_hi, right_lo), (left_lo, right_hi) = pair_over(j0, j1), pair_under(j0, j1)
+    if right_lo is None:
+        return one("P")
+    rights = {}
+    for right in tamari_interval(right_lo, right_hi):
+        rights.setdefault(canopy(right), []).append(right)
+    return Element("P", {(left, right): 1 for left in tamari_interval(left_lo, left_hi)
+                         for right in rights.get(complement_canopy(canopy(left)), ())})
 
 
-@_capped_cache("P")
+@_capped_cache
 def p_coproduct(j) -> Element:
     """Coproduct of a P basis element, collected into P(x)P."""
-    return _collected(f_coproduct(p_to_f(j)), "P", "coproduct of a class sum")
+    try:
+        return collect(f_coproduct(p_to_f(j)), "P")
+    except NotInSubalgebraError as exc:
+        raise InternalInvariantError(
+            f"coproduct of a class sum failed to collect: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -599,18 +598,22 @@ def _right_shape(s):
     return p_shape(s)[1]
 
 
-@_capped_cache("Psylv")
 def _sylv_key_product(t0, t1) -> Element:
-    return _class_product("Psylv", t0, t1)
+    """Product of two Psylv basis elements: the sum of Psylv over the
+    rotation interval [``t0 / t1``, ``t0 \\ t1``]."""
+    _check_degree("Psylv", t0, t1)
+    interval = tamari_interval(graft_over(t0, t1), graft_under(t0, t1))
+    return Element("Psylv", {t: 1 for t in interval})
 
 
 def rho(t) -> Element:
     """Embed a sylvester class: the sum of P over all twin partners of ``t``.
 
     ``t`` plays the right-tree role; the sum runs over every left tree
-    with the complementary canopy.
+    with the complementary canopy, among all trees of its (capped) size.
     """
     n = tree_size(t)
+    config.check_enum_degree(n)
     if n == 0:
         return Element("P", {(None, None): 1})
     partners = trees_by_canopy(n).get(complement_canopy(canopy(t)), ())

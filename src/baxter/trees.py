@@ -442,6 +442,30 @@ def tamari_leq(t0, t1) -> bool:
     return all(map(le, v0, v1))
 
 
+def tamari_interval(lo, hi) -> list:
+    """The trees ``t`` with ``lo <= t <= hi`` in the rotation order: the
+    right rotations up from ``lo`` that stay below ``hi``, since each tree
+    of the interval ends a chain of covers inside it.  Trees are told
+    apart by their vectors, which hash flat.
+
+    >>> [tree_str(t) for t in tamari_interval(parse_tree("((. .) .)"), parse_tree("(. (. .))"))]
+    ['((. .) .)', '(. (. .))']
+    """
+    if not tamari_leq(lo, hi):
+        return []
+    top = tamari_vector(hi)
+    seen, out = {tamari_vector(lo)}, [lo]
+    for t in out:  # grows as it goes
+        for p, c in infix_edges(t)[1]:
+            if c < p:  # node p has a left child
+                u = right_rotate(t, p)
+                v = tamari_vector(u)
+                if v not in seen and all(map(le, v, top)):
+                    seen.add(v)
+                    out.append(u)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # splitting a right binary search tree at a letter
 

@@ -1052,7 +1052,11 @@ def hopf_suite(max_n=5):
                     for s in class_of_pair(j0):
                         for t in class_of_pair(j1):
                             union.update(shifted_shuffle(s, t))
-                    if {p_shape(w) for w in union} != prod.support():
+                    # closed iff it is the disjoint union of the classes it meets
+                    shapes = {p_shape(w) for w in union}
+                    if sum(len(class_of_pair(j)) for j in shapes) != len(union):
+                        closure_ok = False
+                    if shapes != prod.support():
                         formula_ok = False
                     hits = [w for w in union if is_baxter(w)]
                     if len(hits) != len(prod.terms):

@@ -52,7 +52,7 @@ from baxter.hopf import (
 )
 from baxter.insertion import class_of_pair, p_shape
 from baxter.lattice import baxter_leq, enumerate_tbt
-from baxter.trees import pair_str, parse_pair, parse_tree
+from baxter.trees import all_trees, pair_str, parse_pair, parse_tree, tree_str
 
 
 J1 = p_shape((1,))
@@ -305,27 +305,59 @@ def test_linear_multiplies_coefficients():
     assert all(isinstance(c, Fraction) for c in out.terms.values())
 
 
-@pytest.mark.parametrize("basis, members, product, x", [
-    ("P", "class_of_pair", "p_product", p_element(J21)),
-    ("Psylv", "sylvester_class_of_tree", "_sylv_key_product",
-     sylv_element(parse_tree("((. .) .)"))),
-])
-def test_class_products_that_fail_to_collect_are_internal_errors(
-        monkeypatch, basis, members, product, x):
-    real = getattr(hopf, members)
+def test_p_coproduct_that_fails_to_collect_is_an_internal_error(monkeypatch):
+    def refuse(x, basis):
+        raise NotInSubalgebraError("refused", pair=J21)
 
-    def short(key):
-        found = sorted(real(key))
-        return frozenset(found[1:] if len(found) > 1 else found)
-
-    monkeypatch.setattr(hopf, members, short)
-    cached = getattr(hopf, product)
-    cached.cache_clear()
+    monkeypatch.setattr(hopf, "collect", refuse)
+    p_coproduct.cache_clear()
     try:
         with pytest.raises(InternalInvariantError, match="failed to collect"):
-            element_product(x, x)
+            p_coproduct(J21)
     finally:
-        cached.cache_clear()
+        p_coproduct.cache_clear()
+
+
+def test_products_compute_without_classes_or_collect(monkeypatch):
+    t = parse_tree("((. .) (. .))")
+    expected = {
+        "P": collect(f_product(theta(p_element(J2143)), theta(p_element(J21))), "P"),
+        "Psylv": collect(f_product(sylv_to_f(t), sylv_to_f(t)), "Psylv"),
+    }
+
+    def refuse(*args):
+        raise AssertionError("a product expanded or collected a class")
+
+    for name in ("class_of_pair", "sylvester_class_of_tree", "collect"):
+        monkeypatch.setattr(hopf, name, refuse)
+    p_product.cache_clear()
+    try:
+        assert p_product(J2143, J21) == expected["P"]
+        assert element_product(sylv_element(t), sylv_element(t)) == expected["Psylv"]
+    finally:
+        p_product.cache_clear()
+
+
+def _pairs_to_total_degree(keys, top):
+    return [(k0, k1) for d0 in range(top + 1) for d1 in range(top + 1 - d0)
+            for k0 in keys(d0) for k1 in keys(d1)]
+
+
+def test_p_product_matches_the_f_route_to_total_degree_6():
+    pairs = _pairs_to_total_degree(enumerate_tbt, 6)
+    assert len(pairs) == 1488
+    for j0, j1 in pairs:
+        via_f = collect(f_product(theta(p_element(j0)), theta(p_element(j1))), "P")
+        assert p_product(j0, j1) == via_f, (pair_str(j0), pair_str(j1))
+
+
+def test_psylv_product_matches_the_f_route_to_total_degree_6():
+    pairs = _pairs_to_total_degree(all_trees, 6)
+    assert len(pairs) == 625
+    for t0, t1 in pairs:
+        via_f = collect(f_product(sylv_to_f(t0), sylv_to_f(t1)), "Psylv")
+        assert element_product(sylv_element(t0), sylv_element(t1)) == via_f, (
+            tree_str(t0), tree_str(t1))
 
 
 def _in_normal_form(x):
@@ -496,6 +528,12 @@ def test_rho_sums_twin_partners():
     got = rho(two_partner)
     assert len(got.terms) == sum(
         1 for pair in enumerate_tbt(3) if pair[1] == two_partner)
+
+
+def test_rho_is_capped_by_the_enumeration_degree():
+    comb = parse_tree("(" * 300 + "." + " .)" * 300)
+    with pytest.raises(ValueError, match="ENUM_DEGREE_CAP"):
+        rho(comb)
 
 
 def test_rho_linear_is_multiplicative_in_low_degree():

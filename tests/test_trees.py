@@ -22,6 +22,7 @@ from baxter.trees import (
     restricted_trees,
     right_rotate,
     size,
+    tamari_interval,
     tamari_leq,
     tamari_vector,
     tree_str,
@@ -243,6 +244,20 @@ def test_tamari_leq_matches_rotation_closure_small():
         for s in ts:
             for t in ts:
                 assert tamari_leq(s, t) == (t in reach[s])
+
+
+def test_tamari_interval_matches_the_order_filter_small():
+    for n in range(6):
+        ts = all_trees(n)
+        for lo in ts:
+            for hi in ts:
+                got = [tree_str(t) for t in tamari_interval(lo, hi)]
+                assert len(got) == len(set(got))
+                assert set(got) == {
+                    tree_str(t) for t in ts if tamari_leq(lo, t) and tamari_leq(t, hi)}
+                assert got[:1] == ([tree_str(lo)] if tamari_leq(lo, hi) else [])
+    with pytest.raises(ValueError, match="sizes differ"):
+        tamari_interval(parse_tree("(. .)"), parse_tree("((. .) .)"))
 
 
 @given(words_st)
