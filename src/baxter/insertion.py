@@ -12,11 +12,15 @@ A twin pair here is a plain ``(left_shape, right_shape)`` tuple of
 unlabeled trees.  :func:`p_shape` builds it from the same insertion
 arrays as :func:`p_symbol`, without labeling and then unlabeling a
 second copy.
+
+A class, the permutations of one P-symbol shape, is the weak-order interval
+between its greedy extremes; :func:`class_of_pair` walks it at O(n) per cover.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from heapq import heappop, heappush
 
 from .errors import InternalInvariantError
 from .perms import is_baxter
@@ -162,78 +166,74 @@ def p_shape(u):
     return out
 
 
-def _linear_extensions(n, preds):
-    """All orderings of 1..n in which each value follows its ``preds``.
-
-    Backtracks with an explicit stack, so long chains need no deep
-    recursion.
-    """
-    if n == 0:
-        return [()]
-    succs = {v: [] for v in range(1, n + 1)}
-    indeg = {v: 0 for v in range(1, n + 1)}
-    for v, ps in preds.items():
-        for p in ps:
-            succs[p].append(v)
-            indeg[v] += 1
-    avail = {v for v in range(1, n + 1) if indeg[v] == 0}
-    prefix = []
+def _greedy_extremes(n, covers):
+    """The lexicographically least and greatest linear extensions of the
+    order on 1..n whose covers ``(a, b)`` put a before b: each step places
+    the least (greatest) value whose predecessors are placed, by a heap."""
+    succs = [[] for _ in range(n + 1)]
+    preds = [0] * (n + 1)
+    for a, b in covers:
+        succs[a].append(b)
+        preds[b] += 1
     out = []
-    tries = [sorted(avail, reverse=True)]  # per depth: values left, next last
-    while tries:
-        if len(prefix) == len(tries):  # undo this depth's last choice
-            v = prefix.pop()
-            for w in succs[v]:
-                if indeg[w] == 0:  # v was the last predecessor placed
-                    avail.discard(w)
-                indeg[w] += 1
-            avail.add(v)
-        if not tries[-1]:
-            tries.pop()
-            continue
-        v = tries[-1].pop()
-        avail.discard(v)
-        prefix.append(v)
-        for w in succs[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                avail.add(w)
-        if len(prefix) == n:
-            out.append(tuple(prefix))
-        else:
-            tries.append(sorted(avail, reverse=True))
-    return out
+    for sign in (1, -1):
+        waiting = preds[:]
+        ready = sorted(sign * v for v in range(1, n + 1) if not waiting[v])
+        order = []
+        while ready:
+            order.append(sign * heappop(ready))
+            for w in succs[order[-1]]:
+                waiting[w] -= 1
+                if not waiting[w]:
+                    heappush(ready, sign * w)
+        out.append(tuple(order))
+    return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)  # `bx verify all --max-n 7` asks for 2,620 pairs
+def _extremes(pair):
+    """``(min_perm, max_perm)`` of ``pair``'s class: the greedy extremes of
+    the order on both trees' infix labels 1..n that puts left-tree parents
+    before their children and right-tree children before their parents."""
+    n, covers = infix_edges(check_twin_pair(pair)[0])
+    covers += [(child, parent) for parent, child in infix_edges(pair[1])[1]]
+    return _greedy_extremes(n, covers)
+
+
+def _interval(lo, hi) -> frozenset:
+    """The right weak-order interval [lo, hi], for ``lo <= hi``: walked up
+    from ``lo`` by swapping adjacent ascents a < b that ``hi`` inverts,
+    an O(1) test by ``hi``'s positions, at O(n) per swap kept.  Built in
+    sorted order, so that the set iterates the same whatever the walk."""
+    where = {v: i for i, v in enumerate(hi)}
+    seen, todo = {lo}, [lo]
+    while todo:
+        p = todo.pop()
+        for i in range(len(p) - 1):
+            if p[i] < p[i + 1] and where[p[i + 1]] < where[p[i]]:
+                q = p[:i] + (p[i + 1], p[i]) + p[i + 2:]
+                if q not in seen:
+                    seen.add(q)
+                    todo.append(q)
+    return frozenset(sorted(seen))
+
+
+@lru_cache(maxsize=4096)  # sized as `_extremes`
 def class_of_pair(pair) -> frozenset:
-    """All permutations whose P-symbol has the given twin shape.
-
-    A permutation fits iff, labeling both trees 1..n in infix order,
-    every left-tree node appears after its parent and every right-tree
-    node appears before its parent.
+    """All permutations of P-symbol shape ``pair``: [min_perm, max_perm].
 
     >>> sorted(class_of_pair(p_shape((2, 1, 4, 3))))
     [(2, 1, 4, 3), (2, 4, 1, 3)]
     """
-    check_twin_pair(pair)
-    n, left_edges = infix_edges(pair[0])
-    preds = {v: set() for v in range(1, n + 1)}
-    for parent, child in left_edges:
-        preds[child].add(parent)  # left tree: ancestors first
-    for parent, child in infix_edges(pair[1])[1]:
-        preds[parent].add(child)  # right tree: ancestors last
-    return frozenset(_linear_extensions(n, preds))
+    return _interval(*_extremes(pair))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)  # every tree of degree <= 7 (626)
 def sylvester_class_of_tree(t) -> frozenset:
-    """All permutations whose root-insertion (right BST) shape is ``t``."""
+    """All permutations whose root-insertion (right BST) shape is ``t``:
+    the interval between the greedy extremes of children before parents."""
     n, edges = infix_edges(t)
-    preds = {v: set() for v in range(1, n + 1)}
-    for parent, child in edges:
-        preds[parent].add(child)
-    return frozenset(_linear_extensions(n, preds))
+    return _interval(*_greedy_extremes(n, [(c, p) for p, c in edges]))
 
 
 def baxter_representative(pair) -> tuple:
@@ -253,14 +253,14 @@ def baxter_representative(pair) -> tuple:
 def min_perm(pair) -> tuple:
     """The weak-order least member of the class.
 
-    Classes are intervals of the right weak order, and on an interval
-    the order refines the lexicographic one, so this is the lex-least
-    member.
+    Classes are intervals of the right weak order, which the
+    lexicographic order refines, so this is the lex-least member: the
+    greedy one, found without walking the class.
 
     >>> min_perm(p_shape((5, 2, 7, 3, 6, 4, 1)))
     (5, 2, 3, 7, 6, 4, 1)
     """
-    return min(class_of_pair(pair))
+    return _extremes(pair)[0]
 
 
 def max_perm(pair) -> tuple:
@@ -269,4 +269,4 @@ def max_perm(pair) -> tuple:
     >>> max_perm(p_shape((5, 2, 7, 3, 6, 4, 1)))
     (5, 7, 6, 2, 3, 4, 1)
     """
-    return max(class_of_pair(pair))
+    return _extremes(pair)[1]

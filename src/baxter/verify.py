@@ -857,11 +857,12 @@ def insertion_suite(max_n=5):
     inj_ok = True
     filter_ok = True
     unique_ok = True
+    shapes = {}  # degree -> the brute-force classes, by shape
     for k in range(1, n + 1):
         perms = all_perms(k)
         if len({(p_symbol(p), q_symbol(p)) for p in perms}) != len(perms):
             inj_ok = False
-        by_shape = {}
+        by_shape = shapes[k] = {}
         for p in perms:
             by_shape.setdefault(p_shape(p), set()).add(p)
         if set(by_shape) != set(enumerate_tbt(k)):
@@ -884,14 +885,13 @@ def insertion_suite(max_n=5):
     interval_ok = True
     for k in range(1, m + 1):
         masks = _coinv_masks(k)
-        for j in enumerate_tbt(k):
-            members = class_of_pair(j)
+        for j, members in shapes[k].items():
             lo, hi = masks[min_perm(j)], masks[max_perm(j)]
             interval = {
                 p for p, mask in masks.items()
                 if lo & mask == lo and mask & hi == mask
             }
-            if interval != set(members):
+            if interval != members:
                 interval_ok = False
     checks.append(_check(
         f"each class is a weak-order interval between its extremes (n <= {m})",

@@ -157,6 +157,47 @@ def test_min_and_max_perm_bound_the_class():
             assert permutohedron_leq(lo, q) and permutohedron_leq(q, hi)
 
 
+def test_extremes_meet_join_and_duals_never_enumerate_a_class(monkeypatch):
+    import random
+
+    from baxter.hopf import dual_coproduct, dual_product
+    from baxter.lattice import baxter_join, baxter_meet
+
+    pairs = sorted({p_shape(p) for n in range(5) for p in all_perms(n)}, key=pair_str)
+    degree = {j: len(min(class_of_pair(j))) for j in pairs}
+    alike = [(a, b) for a in pairs for b in pairs if degree[a] == degree[b]]
+    small = [j for j in pairs if degree[j] <= 3]
+
+    def answers():
+        return ([(min_perm(j), max_perm(j)) for j in pairs],
+                [(baxter_meet(a, b), baxter_join(a, b)) for a, b in alike],
+                [repr(dual_product(a, b)) for a in small for b in small],
+                [repr(dual_coproduct(j)) for j in small])
+
+    expected = answers()
+    assert expected[0] == [(min(class_of_pair(j)), max(class_of_pair(j))) for j in pairs]
+
+    def refuse(pair):
+        raise AssertionError("a class was enumerated")
+
+    monkeypatch.setattr(insertion, "class_of_pair", refuse)
+    insertion._extremes.cache_clear()
+    assert answers() == expected
+
+    # a degree-60 class of about 3.8e38 members, far past any enumeration
+    u = list(range(1, 61))
+    random.Random(16).shuffle(u)
+    j = p_shape(tuple(u))
+    lo, hi = min_perm(j), max_perm(j)
+    assert p_shape(lo) == j == p_shape(hi) and permutohedron_leq(lo, hi)
+    assert baxter_join(j, j) == j == baxter_meet(j, j)
+
+
+def test_class_caches_are_bounded():
+    for cached in (insertion._extremes, class_of_pair, sylvester_class_of_tree):
+        assert cached.cache_info().maxsize is not None
+
+
 def test_baxter_representative_is_the_unique_baxter_member():
     for p in all_perms(5):
         pair = p_shape(p)
