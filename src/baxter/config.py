@@ -13,7 +13,8 @@ are ordinary module attributes and may be raised at runtime, e.g.::
 ENUM_DEGREE_CAP = 7
 
 # Largest total degree accepted by products and coproducts in the
-# class-sum bases (coproducts expand classes; products walk intervals).
+# class-sum bases (products walk lattice intervals; the P coproduct cuts
+# every member of a class).
 PRODUCT_DEGREE_CAP = 6
 
 

@@ -21,7 +21,7 @@ class NotInSubalgebraError(ValueError):
 
 class InternalInvariantError(RuntimeError):
     """A structural theorem the implementation relies on was falsified
-    (non-complementary canopies from insertion, a class without a unique
-    Baxter member, a class sum failing to collect).  Indicates a bug, not
-    bad input.
+    (non-complementary canopies from insertion, grafts of twin pairs that
+    are not twin, an order-sum table without a join of some covers).
+    Indicates a bug, not bad input.
     """

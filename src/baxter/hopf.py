@@ -1,16 +1,18 @@
 """The Hopf-algebra layer.
 
-The permutation algebra carries the fundamental basis ``F`` (product =
-shifted shuffle, coproduct = deconcatenate and standardize).  Its two
-half products split the shuffle by the factor that gives the last
-letter, so each interleaves the rest and appends that letter.  Summing
-``F`` over baxter congruence classes gives the basis ``P`` of a Hopf
-subalgebra indexed by twin pairs, with the order-sum bases ``E`` and
-``H`` on top of it.  The graded dual carries ``Fstar`` and the quotient
-basis ``Pstar``.  ``Psylv`` indexes class sums of the sylvester
-congruence (shapes of single right trees), which embed via ``rho``.
-Products of class sums walk lattice intervals, the paper's rule; the P
-coproduct expands into F and collects back.
+Summing the permutations of each baxter congruence class gives the basis
+``P`` of a Hopf subalgebra of the permutation algebra, indexed by twin
+pairs, with the order-sum bases ``E`` and ``H`` on top of it.  The
+graded dual carries the quotient basis ``Pstar``.  ``Psylv`` indexes
+class sums of the sylvester congruence (shapes of single right trees),
+which embed via ``rho``.  Every structure constant follows a rule on
+classes: products of class sums walk lattice intervals, the paper's
+rule; the P coproduct cuts the members of a class where both halves are
+least in their classes; the Pstar product and coproduct spread and cut
+the least member of each class.  The permutation bases ``F`` and
+``Fstar`` keep their key products here, so that their elements
+multiply, but the maps through them are the oracles of
+:mod:`baxter.verify`.
 
 Elements are finite rational linear combinations of keys in one named
 basis; a tensor is an :class:`Element` whose basis is a tuple of names
@@ -23,10 +25,8 @@ Terms are kept in no particular order and are put in canonical (degree,
 key text) order only when printed.
 
 One table, ``_BASES``, names the key kind and the key product of each
-basis; ``_CLASSES`` gives the class key and the members of a class for
-the class-sum bases ``P`` and ``Psylv``, which :func:`collect` reads.
-Every termwise map between bases (``theta``, ``phi``, ``psi``,
-``rho_linear``, the F and Fstar coproducts) is :func:`linear`, the one
+basis.  Every termwise map between bases (``rho_linear`` here, and the
+F and Fstar maps of :mod:`baxter.verify`) is :func:`linear`, the one
 change of basis and the one check of its input's basis.
 
 Only the algebra itself is here.  The brute-force checks of it, the
@@ -41,7 +41,7 @@ from functools import lru_cache, reduce, wraps
 from operator import or_
 
 from . import config
-from .errors import InternalInvariantError, NotInSubalgebraError
+from .errors import InternalInvariantError
 from .exactlin import RationalMatrix, kernel_basis, rational_str
 from .insertion import (
     baxter_representative,
@@ -50,10 +50,9 @@ from .insertion import (
     is_twin_pair,
     min_perm,
     p_shape,
-    sylvester_class_of_tree,
 )
 from .lattice import enumerate_tbt, hasse, positions
-from .perms import check_permutation, inverse as perm_inverse, is_connected
+from .perms import is_connected
 from .trees import (
     canopy,
     complement_canopy,
@@ -66,7 +65,7 @@ from .trees import (
     tree_str,
     trees_by_canopy,
 )
-from .words import _interleavings, shifted_shuffle, standardize, word_str
+from .words import shifted_shuffle, standardize, word_str
 
 # basis name -> (what its keys are, name of the product of two keys).
 # Names resolve at call time, so a wrapper set on the module sees every call.
@@ -78,13 +77,6 @@ _BASES = {
     "H": ("pair", "h_product"),
     "Pstar": ("pair", "dual_product"),
     "Psylv": ("tree", "_sylv_key_product"),
-}
-
-# class-sum basis -> names of (the class key of a permutation, the
-# members of a class), resolved at call time as in ``_BASES``
-_CLASSES = {
-    "P": ("p_shape", "class_of_pair"),
-    "Psylv": ("_right_shape", "sylvester_class_of_tree"),
 }
 
 
@@ -246,16 +238,8 @@ def one(basis: str) -> Element:
     return Element(basis, {key: 1})
 
 
-def f_element(sigma, coeff=1) -> Element:
-    return Element("F", {check_permutation(sigma): coeff})
-
-
 def p_element(pair, coeff=1) -> Element:
     return Element("P", {check_twin_pair(pair): coeff})
-
-
-def fstar_element(sigma, coeff=1) -> Element:
-    return Element("Fstar", {check_permutation(sigma): coeff})
 
 
 def sylv_element(t, coeff=1) -> Element:
@@ -278,147 +262,38 @@ def linear(x: Element, source, target, image) -> Element:
 
 
 # ---------------------------------------------------------------------------
-# the F basis: shifted shuffle / deconcatenation
+# the permutation bases: key products only
 
 
 def _f_key_product(s, t) -> Element:
     return Element("F", {p: 1 for p in shifted_shuffle(s, t)})
 
 
-def f_product(x: Element, y: Element) -> Element:
-    """Product in the F basis: shifted shuffle, extended bilinearly."""
-    if x.basis != "F" or y.basis != "F":
-        raise ValueError("f_product needs F-basis elements")
-    return element_product(x, y)
+def _spreads(s, t):
+    """Each permutation that is ``s`` on some ``len(s)`` values, in their
+    order, followed by ``t`` on the rest: C(m+n, m) of them, the terms of
+    the Fstar product of ``s`` and ``t``."""
+    universe = range(1, len(s) + len(t) + 1)
+    for chosen in itertools.combinations(universe, len(s)):
+        taken = set(chosen)
+        rest = [v for v in universe if v not in taken]
+        yield tuple(chosen[a - 1] for a in s) + tuple(rest[a - 1] for a in t)
 
 
-def _deconcatenate(x: Element, cuts) -> Element:
-    """Split each term ``s`` of the F-element ``x`` at every ``i`` in
-    ``cuts(s)`` and standardize both parts."""
-    return linear(x, "F", ("F", "F"), lambda s: [
-        ((standardize(s[:i]), standardize(s[i:])), 1) for i in cuts(s)])
+def _value_cuts(s):
+    """``(s on the values 1..k, s on the values above k lowered by k)``
+    for k = 0..len(s): the terms of the Fstar coproduct of ``s``."""
+    for k in range(len(s) + 1):
+        yield tuple(a for a in s if a <= k), tuple(a - k for a in s if a > k)
 
 
-def _after_max(s) -> int:
-    """The cut just after the largest letter (0 for the empty word)."""
-    return s.index(len(s)) + 1 if s else 0
-
-
-def f_coproduct(x: Element) -> Element:
-    """Coproduct in the F basis: deconcatenate and standardize each part."""
-    return _deconcatenate(x, lambda s: range(len(s) + 1))
-
-
-def _half_product(x: Element, y: Element, left: bool) -> Element:
-    """The terms of each shifted shuffle of ``s`` and ``t`` whose last
-    letter comes from ``s`` (``left``) or from the shifted ``t``.
-
-    Only the last step of the shuffle is made: the rest of the factor
-    that gives the last letter is interleaved with the whole other
-    factor, and that letter is appended.  A pair with an empty factor on
-    the asked side gives nothing.
-    """
-    if x.basis != "F" or y.basis != "F":
-        raise ValueError("dendriform operations need F-basis elements")
-    for s in itertools.chain(x.terms, y.terms):
-        check_permutation(s)
-    acc = []
-    for s, c in x.terms.items():
-        m = len(s)
-        for t, d in y.terms.items():
-            shifted = tuple(a + m for a in t)
-            if left and s:
-                head, tail, last = s[:-1], shifted, s[-1:]
-            elif not left and t:
-                head, tail, last = s, shifted[:-1], shifted[-1:]
-            else:
-                continue
-            cd = c * d
-            acc += [(w + last, cd) for w in _interleavings(head, tail)]
-    return Element("F", acc)
-
-
-def f_prec(x: Element, y: Element) -> Element:
-    """Half product keeping the last letter on the left factor's side.
-
-    ``F[s] < F[t]`` sums the interleavings of ``s[:-1]`` with ``t``
-    shifted by ``|s|``, each followed by ``s[-1]``; it is 0 when ``s`` is
-    empty.
-    """
-    return _half_product(x, y, left=True)
-
-
-def f_succ(x: Element, y: Element) -> Element:
-    """Half product keeping the last letter on the right factor's side.
-
-    ``F[s] > F[t]`` sums the interleavings of ``s`` with ``t[:-1]``
-    shifted by ``|s|``, each followed by ``t[-1] + |s|``; it is 0 when
-    ``t`` is empty.  With :func:`f_prec` it splits :func:`f_product`.
-    """
-    return _half_product(x, y, left=False)
-
-
-def f_coproduct_left(x: Element) -> Element:
-    """Half coproduct: proper splits keeping the maximal letter left."""
-    return _deconcatenate(x, lambda s: range(_after_max(s), len(s)))
-
-
-def f_coproduct_right(x: Element) -> Element:
-    """Half coproduct: proper splits keeping the maximal letter right."""
-    return _deconcatenate(x, lambda s: range(1, _after_max(s)))
+@lru_cache(maxsize=128)  # `bx verify all --max-n 6` asks for 93 key pairs
+def _fstar_key_product(s, t) -> Element:
+    return Element("Fstar", {p: 1 for p in _spreads(s, t)})
 
 
 # ---------------------------------------------------------------------------
 # the P basis: class sums over twin pairs
-
-
-def _class_sums(basis: str, x: Element) -> Element:
-    """Expand an element of a class-sum basis into F, each class sum
-    into the F terms of its members."""
-    members = globals()[_CLASSES[basis][1]]
-    return linear(x, basis, "F", lambda key: [(s, 1) for s in members(key)])
-
-
-def p_to_f(pair) -> Element:
-    """Expand P over a twin pair as the class sum of F terms."""
-    return _class_sums("P", Element("P", {pair: 1}))
-
-
-def theta(x: Element) -> Element:
-    """Expand a P-element into the F basis (the subalgebra inclusion)."""
-    return _class_sums("P", x)
-
-
-def collect(x: Element, basis: str) -> Element:
-    """Rewrite an F-element, or a tensor of F factors, as class sums, or raise.
-
-    ``basis`` is a class-sum basis of ``_CLASSES``, which maps a
-    permutation to the key of its class and lists the members of a
-    class; on a tensor both act factor by factor and every factor of the
-    result is in ``basis``.  Raises :class:`NotInSubalgebraError`, with
-    ``pair`` set to the offending class key, when some class does not
-    carry a constant coefficient.
-    """
-    tensor = not isinstance(x.basis, str)
-    names = _names(x.basis)
-    if set(names) != {"F"}:
-        raise ValueError("only F-basis elements collect into class sums")
-    shape, members = (globals()[name] for name in _CLASSES[basis])
-    remaining = dict(x.terms)
-    out = {}
-    while remaining:
-        s = next(iter(remaining))
-        c = remaining[s]
-        keys = tuple(shape(part) for part in (s if tensor else (s,)))
-        key = keys if tensor else keys[0]
-        for member in itertools.product(*(members(k) for k in keys)):
-            if remaining.pop(member if tensor else member[0], None) != c:
-                text = " (x) ".join(key_str(basis, k) for k in keys)
-                raise NotInSubalgebraError(
-                    f"coefficients not constant on the class of {text}", pair=key
-                )
-        out[key] = c
-    return Element((basis,) * len(names) if tensor else basis, out)
 
 
 def _check_degree(basis: str, *keys):
@@ -430,7 +305,8 @@ def _capped_cache(fn):
     the cache hashes the pairs, which recurses in C and crashes on deep
     enough trees.  The check runs on cache hits too, since ``lru_cache``
     hashes a key before it knows whether it holds it."""
-    cached = lru_cache(maxsize=None)(fn)
+    # `bx verify all --max-n 6` asks for 1,488 products and 546 coproducts
+    cached = lru_cache(maxsize=2048)(fn)
 
     @wraps(fn)
     def checked(*keys):
@@ -456,14 +332,30 @@ def p_product(j0, j1) -> Element:
                          for right in rights.get(complement_canopy(canopy(left)), ())})
 
 
+def _least_cuts(j):
+    """``(i, top, (a, b))`` for each member ``s`` of the class of ``j``
+    and each cut ``i`` = 0..n whose standardized halves are the least
+    members of their classes ``a`` and ``b``; ``top`` tells whether the
+    value n lies in ``s[:i]``.
+
+    Each order ideal of the class order, with a class on each side of
+    it, is met by exactly one member: the two least members spread over
+    the ideal.  So the cuts at ``(a, b)`` count the coefficient of
+    P[a] (x) P[b] in the coproduct of P[j].
+    """
+    for s in class_of_pair(j):
+        for i in range(len(s) + 1):
+            a, b = standardize(s[:i]), standardize(s[i:])
+            ja, jb = p_shape(a), p_shape(b)
+            if min_perm(ja) == a and min_perm(jb) == b:
+                yield i, len(s) in s[:i], (ja, jb)
+
+
 @_capped_cache
 def p_coproduct(j) -> Element:
-    """Coproduct of a P basis element, collected into P(x)P."""
-    try:
-        return collect(f_coproduct(p_to_f(j)), "P")
-    except NotInSubalgebraError as exc:
-        raise InternalInvariantError(
-            f"coproduct of a class sum failed to collect: {exc}") from exc
+    """Coproduct of a P basis element in P(x)P: one term per cut of a
+    member of the class whose halves are least in their classes."""
+    return Element(("P", "P"), [(key, 1) for _, _, key in _least_cuts(j)])
 
 
 # ---------------------------------------------------------------------------
@@ -588,16 +480,6 @@ def connected_pairs(n: int) -> frozenset:
 # the sylvester (single right tree) algebra and its embedding
 
 
-def sylv_to_f(t) -> Element:
-    """Expand the sylvester class sum over a right-tree shape into F."""
-    return _class_sums("Psylv", sylv_element(t))
-
-
-def _right_shape(s):
-    """The key of the sylvester class of a permutation: its right tree."""
-    return p_shape(s)[1]
-
-
 def _sylv_key_product(t0, t1) -> Element:
     """Product of two Psylv basis elements: the sum of Psylv over the
     rotation interval [``t0 / t1``, ``t0 \\ t1``]."""
@@ -629,64 +511,19 @@ def rho_linear(x: Element) -> Element:
 # the graded dual
 
 
-@lru_cache(maxsize=None)
-def _fstar_key_product(s, t) -> Element:
-    m, n = len(s), len(t)
-    out = {}
-    universe = range(1, m + n + 1)
-    for chosen in itertools.combinations(universe, m):
-        taken = set(chosen)
-        rest = [v for v in universe if v not in taken]
-        prefix = tuple(chosen[a - 1] for a in s)
-        suffix = tuple(rest[a - 1] for a in t)
-        out[prefix + suffix] = 1
-    return Element("Fstar", out)
-
-
-def fstar_product(x: Element, y: Element) -> Element:
-    """Product in Fstar: all ways to spread values over prefix/suffix
-    standardizing to the factors (dual to deconcatenation)."""
-    if x.basis != "Fstar" or y.basis != "Fstar":
-        raise ValueError("fstar_product needs Fstar-basis elements")
-    return element_product(x, y)
-
-
-def fstar_coproduct(x: Element) -> Element:
-    """Coproduct in Fstar: split by value intervals (dual to the shifted
-    shuffle)."""
-    return linear(x, "Fstar", ("Fstar", "Fstar"), lambda s: [
-        ((tuple(a for a in s if a <= k), standardize(tuple(a for a in s if a > k))), 1)
-        for k in range(len(s) + 1)])
-
-
-def phi(x: Element) -> Element:
-    """Project Fstar onto Pstar: each permutation maps to its class's
-    dual basis element, coefficients adding."""
-    return linear(x, "Fstar", "Pstar", lambda s: [(p_shape(s), 1)])
-
-
-def psi(x: Element) -> Element:
-    """The isomorphism F -> Fstar inverting each permutation."""
-    return linear(x, "F", "Fstar", lambda s: [(perm_inverse(s), 1)])
-
-
 def dual_product(j0, j1) -> Element:
-    """Product of Pstar basis elements via any class representatives."""
+    """Product of two Pstar basis elements: the classes of the spreads of
+    the least members of the two classes (any members give the same)."""
     _check_degree("Pstar", j0, j1)
-    return phi(_fstar_key_product(min_perm(j0), min_perm(j1)))
+    return Element("Pstar", [(p_shape(s), 1) for s in _spreads(min_perm(j0), min_perm(j1))])
 
 
 def dual_coproduct(j) -> Element:
-    """Coproduct of a Pstar basis element via any class representative."""
+    """Coproduct of a Pstar basis element: the classes of the value cuts
+    of the least member of the class (any member gives the same)."""
     _check_degree("Pstar", j)
-    tx = fstar_coproduct(fstar_element(min_perm(j)))
-    return linear(tx, ("Fstar", "Fstar"), ("Pstar", "Pstar"),
-                  lambda ab: [((p_shape(ab[0]), p_shape(ab[1])), 1)])
-
-
-def phi_psi_theta(x: Element) -> Element:
-    """The composite P -> F -> Fstar -> Pstar (not injective)."""
-    return phi(psi(theta(x)))
+    return Element(("Pstar", "Pstar"), [
+        ((p_shape(low), p_shape(high)), 1) for low, high in _value_cuts(min_perm(j))])
 
 
 # ---------------------------------------------------------------------------
@@ -696,8 +533,10 @@ def phi_psi_theta(x: Element) -> Element:
 def totally_primitive_basis(n: int):
     """A basis of degree-n P-combinations killed by both half coproducts.
 
-    Computed exactly: stack the two half-coproduct matrices in F(x)F
-    coordinates over all degree-n twin pairs, and take the kernel.
+    Computed exactly: the proper cuts of :func:`p_coproduct`, split by
+    whether the value n lies before the cut, are the two half coproducts
+    in P(x)P coordinates; stack them over all degree-n twin pairs and
+    take the kernel.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -713,10 +552,10 @@ def _totally_primitive_cached(n: int):
     rows = {}
     entries = {}
     for col, j in enumerate(pairs):
-        f = p_to_f(j)
-        for side, half in (("G", f_coproduct_left), ("D", f_coproduct_right)):
-            for key, c in half(f).terms.items():
-                entries[(rows.setdefault((side, key), len(rows)), col)] = c
+        for i, top, key in _least_cuts(j):
+            if 0 < i < n:
+                at = (rows.setdefault((top, key), len(rows)), col)
+                entries[at] = entries.get(at, 0) + 1
     matrix = RationalMatrix(len(rows), len(pairs), entries)
     return tuple(
         Element("P", {pairs[i]: v for i, v in enumerate(vec) if v})

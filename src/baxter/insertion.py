@@ -15,15 +15,16 @@ second copy.
 
 A class, the permutations of one P-symbol shape, is the weak-order interval
 between its greedy extremes; :func:`class_of_pair` walks it at O(n) per cover.
+The extremes and the Baxter representative are greedy walks of one order
+on the labels, so none of them lists a class.
 """
 
 from __future__ import annotations
 
+from bisect import bisect, insort
 from functools import lru_cache
-from heapq import heappop, heappush
 
 from .errors import InternalInvariantError
-from .perms import is_baxter
 from .trees import LNode, Node, canopies_complementary, canopy, infix_edges, pair_str
 from .words import check_word
 
@@ -166,38 +167,50 @@ def p_shape(u):
     return out
 
 
+def _greedy_walk(n, covers, pick):
+    """The linear extension of the order on 1..n whose covers ``(a, b)``
+    put a before b that places, at each step, the ready value (its
+    predecessors all placed) at index ``pick(ready, placed)`` of the
+    sorted list of ready values."""
+    succs = [[] for _ in range(n + 1)]
+    waiting = [0] * (n + 1)
+    for a, b in covers:
+        succs[a].append(b)
+        waiting[b] += 1
+    ready = [v for v in range(1, n + 1) if not waiting[v]]
+    order = []
+    while ready:
+        order.append(ready.pop(pick(ready, order)))
+        for w in succs[order[-1]]:
+            waiting[w] -= 1
+            if not waiting[w]:
+                insort(ready, w)
+    return tuple(order)
+
+
 def _greedy_extremes(n, covers):
     """The lexicographically least and greatest linear extensions of the
     order on 1..n whose covers ``(a, b)`` put a before b: each step places
-    the least (greatest) value whose predecessors are placed, by a heap."""
-    succs = [[] for _ in range(n + 1)]
-    preds = [0] * (n + 1)
-    for a, b in covers:
-        succs[a].append(b)
-        preds[b] += 1
-    out = []
-    for sign in (1, -1):
-        waiting = preds[:]
-        ready = sorted(sign * v for v in range(1, n + 1) if not waiting[v])
-        order = []
-        while ready:
-            order.append(sign * heappop(ready))
-            for w in succs[order[-1]]:
-                waiting[w] -= 1
-                if not waiting[w]:
-                    heappush(ready, sign * w)
-        out.append(tuple(order))
-    return tuple(out)
+    the least (greatest) ready value."""
+    return (_greedy_walk(n, covers, lambda ready, placed: 0),
+            _greedy_walk(n, covers, lambda ready, placed: -1))
+
+
+def _class_order(pair):
+    """The order whose linear extensions are ``pair``'s class, on both
+    trees' infix labels 1..n: ``(n, covers, right-tree edges)``.  Its
+    covers put left-tree parents before their children and right-tree
+    children before their parents."""
+    n, covers = infix_edges(check_twin_pair(pair)[0])
+    edges = infix_edges(pair[1])[1]
+    return n, covers + [(child, parent) for parent, child in edges], edges
 
 
 @lru_cache(maxsize=4096)  # `bx verify all --max-n 7` asks for 2,620 pairs
 def _extremes(pair):
     """``(min_perm, max_perm)`` of ``pair``'s class: the greedy extremes of
-    the order on both trees' infix labels 1..n that puts left-tree parents
-    before their children and right-tree children before their parents."""
-    n, covers = infix_edges(check_twin_pair(pair)[0])
-    covers += [(child, parent) for parent, child in infix_edges(pair[1])[1]]
-    return _greedy_extremes(n, covers)
+    its class order."""
+    return _greedy_extremes(*_class_order(pair)[:2])
 
 
 def _interval(lo, hi) -> frozenset:
@@ -239,15 +252,30 @@ def sylvester_class_of_tree(t) -> frozenset:
 def baxter_representative(pair) -> tuple:
     """The unique Baxter (2-41-3 and 3-14-2 avoiding) member of the class.
 
+    A greedy walk of the class order, as for the extremes, so no class
+    is listed.  The first value is the only ready one, the left tree's
+    root.  After value x comes the nearest ready value on the side of
+    x's parent in the right tree: the least ready value above x if that
+    parent is greater, the greatest below x if not, and the nearest on
+    the other side when that side has none.  The right tree's root comes
+    last, so every earlier x has a parent.
+
     >>> baxter_representative(p_shape((2, 4, 1, 3)))
     (2, 1, 4, 3)
     """
-    found = [s for s in class_of_pair(pair) if is_baxter(s)]
-    if len(found) != 1:
-        raise InternalInvariantError(
-            f"class of {pair_str(pair)} has {len(found)} Baxter members, expected 1"
-        )
-    return found[0]
+    n, covers, edges = _class_order(pair)
+    parent = [0] * (n + 1)
+    for p, child in edges:
+        parent[child] = p
+
+    def pick(ready, placed):
+        if not placed:
+            return 0
+        x = placed[-1]
+        i = bisect(ready, x)  # ready[:i] lie below x, ready[i:] above
+        return i if i == 0 or (parent[x] > x and i < len(ready)) else i - 1
+
+    return _greedy_walk(n, covers, pick)
 
 
 def min_perm(pair) -> tuple:

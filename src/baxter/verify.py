@@ -10,8 +10,11 @@ them at the documented bounds.
 It is also the one home of the brute-force oracles that the fast paths
 are compared against and never call: letter-by-letter leaf and root
 insertion, infix labelling, the search-tree predicates, co-inversion
-sets, the O(n^3) pattern scan, the position-set shuffle and the
-generating-series identities.
+sets, the O(n^3) pattern scan, the position-set shuffle, the
+generating-series identities, and the maps into and out of the
+permutation bases ``F`` and ``Fstar`` (class sums expanded, multiplied
+or cut there, and collected back) that the class-sum rules of
+:mod:`baxter.hopf` are checked against.
 Only the CLI and the tests import this module, and only this module
 imports the rewrite closure of :mod:`baxter.congruence`.
 
@@ -32,6 +35,7 @@ from typing import NamedTuple
 
 from . import hopf
 from .congruence import KINDS, congruence_class
+from .errors import NotInSubalgebraError
 from .exactlin import RationalMatrix, kernel_basis, rank, rref
 from .insertion import (
     baxter_representative,
@@ -42,6 +46,7 @@ from .insertion import (
     p_shape,
     p_symbol,
     q_symbol,
+    sylvester_class_of_tree,
 )
 from .lattice import (
     baxter_join,
@@ -78,6 +83,7 @@ from .trees import (
     unlabel,
 )
 from .words import (
+    _interleavings,
     evaluation,
     restrict,
     schuetzenberger,
@@ -403,6 +409,200 @@ def _order_sets(n, leq):
                 above[a] |= 1 << b
                 below[b] |= 1 << a
     return above, below
+
+
+# ---------------------------------------------------------------------------
+# the permutation algebra: the F and Fstar expansions that the class-sum
+# rules of ``hopf`` are checked against
+
+# class-sum basis -> names of (the class key of a permutation, the
+# members of a class), resolved at call time so that a wrapper set on
+# this module sees every call
+_CLASSES = {
+    "P": ("p_shape", "class_of_pair"),
+    "Psylv": ("_right_shape", "sylvester_class_of_tree"),
+}
+
+
+def f_element(sigma, coeff=1) -> hopf.Element:
+    return hopf.Element("F", {check_permutation(sigma): coeff})
+
+
+def fstar_element(sigma, coeff=1) -> hopf.Element:
+    return hopf.Element("Fstar", {check_permutation(sigma): coeff})
+
+
+def f_product(x: hopf.Element, y: hopf.Element) -> hopf.Element:
+    """Product in the F basis: shifted shuffle, extended bilinearly."""
+    if x.basis != "F" or y.basis != "F":
+        raise ValueError("f_product needs F-basis elements")
+    return hopf.element_product(x, y)
+
+
+def _deconcatenate(x: hopf.Element, cuts) -> hopf.Element:
+    """Split each term ``s`` of the F-element ``x`` at every ``i`` in
+    ``cuts(s)`` and standardize both parts."""
+    return hopf.linear(x, "F", ("F", "F"), lambda s: [
+        ((standardize(s[:i]), standardize(s[i:])), 1) for i in cuts(s)])
+
+
+def _after_max(s) -> int:
+    """The cut just after the largest letter (0 for the empty word)."""
+    return s.index(len(s)) + 1 if s else 0
+
+
+def f_coproduct(x: hopf.Element) -> hopf.Element:
+    """Coproduct in the F basis: deconcatenate and standardize each part."""
+    return _deconcatenate(x, lambda s: range(len(s) + 1))
+
+
+def f_coproduct_left(x: hopf.Element) -> hopf.Element:
+    """Half coproduct: proper splits keeping the maximal letter left."""
+    return _deconcatenate(x, lambda s: range(_after_max(s), len(s)))
+
+
+def f_coproduct_right(x: hopf.Element) -> hopf.Element:
+    """Half coproduct: proper splits keeping the maximal letter right."""
+    return _deconcatenate(x, lambda s: range(1, _after_max(s)))
+
+
+def _half_product(x: hopf.Element, y: hopf.Element, left: bool) -> hopf.Element:
+    """The terms of each shifted shuffle of ``s`` and ``t`` whose last
+    letter comes from ``s`` (``left``) or from the shifted ``t``.
+
+    Only the last step of the shuffle is made: the rest of the factor
+    that gives the last letter is interleaved with the whole other
+    factor, and that letter is appended.  A pair with an empty factor on
+    the asked side gives nothing.
+    """
+    if x.basis != "F" or y.basis != "F":
+        raise ValueError("dendriform operations need F-basis elements")
+    for s in itertools.chain(x.terms, y.terms):
+        check_permutation(s)
+    acc = []
+    for s, c in x.terms.items():
+        m = len(s)
+        for t, d in y.terms.items():
+            shifted = tuple(a + m for a in t)
+            if left and s:
+                head, tail, last = s[:-1], shifted, s[-1:]
+            elif not left and t:
+                head, tail, last = s, shifted[:-1], shifted[-1:]
+            else:
+                continue
+            cd = c * d
+            acc += [(w + last, cd) for w in _interleavings(head, tail)]
+    return hopf.Element("F", acc)
+
+
+def f_prec(x: hopf.Element, y: hopf.Element) -> hopf.Element:
+    """Half product keeping the last letter on the left factor's side.
+
+    ``F[s] < F[t]`` sums the interleavings of ``s[:-1]`` with ``t``
+    shifted by ``|s|``, each followed by ``s[-1]``; it is 0 when ``s`` is
+    empty.
+    """
+    return _half_product(x, y, left=True)
+
+
+def f_succ(x: hopf.Element, y: hopf.Element) -> hopf.Element:
+    """Half product keeping the last letter on the right factor's side.
+
+    ``F[s] > F[t]`` sums the interleavings of ``s`` with ``t[:-1]``
+    shifted by ``|s|``, each followed by ``t[-1] + |s|``; it is 0 when
+    ``t`` is empty.  With :func:`f_prec` it splits :func:`f_product`.
+    """
+    return _half_product(x, y, left=False)
+
+
+def _class_sums(basis: str, x: hopf.Element) -> hopf.Element:
+    """Expand an element of a class-sum basis into F, each class sum
+    into the F terms of its members."""
+    members = globals()[_CLASSES[basis][1]]
+    return hopf.linear(x, basis, "F", lambda key: [(s, 1) for s in members(key)])
+
+
+def p_to_f(pair) -> hopf.Element:
+    """Expand P over a twin pair as the class sum of F terms."""
+    return _class_sums("P", hopf.Element("P", {pair: 1}))
+
+
+def theta(x: hopf.Element) -> hopf.Element:
+    """Expand a P-element into the F basis (the subalgebra inclusion)."""
+    return _class_sums("P", x)
+
+
+def sylv_to_f(t) -> hopf.Element:
+    """Expand the sylvester class sum over a right-tree shape into F."""
+    return _class_sums("Psylv", hopf.sylv_element(t))
+
+
+def _right_shape(s):
+    """The key of the sylvester class of a permutation: its right tree."""
+    return p_shape(s)[1]
+
+
+def collect(x: hopf.Element, basis: str) -> hopf.Element:
+    """Rewrite an F-element, or a tensor of F factors, as class sums, or raise.
+
+    ``basis`` is a class-sum basis of ``_CLASSES``, which maps a
+    permutation to the key of its class and lists the members of a
+    class; on a tensor both act factor by factor and every factor of the
+    result is in ``basis``.  Raises :class:`NotInSubalgebraError`, with
+    ``pair`` set to the offending class key, when some class does not
+    carry a constant coefficient.
+    """
+    tensor = not isinstance(x.basis, str)
+    names = hopf._names(x.basis)
+    if set(names) != {"F"}:
+        raise ValueError("only F-basis elements collect into class sums")
+    shape, members = (globals()[name] for name in _CLASSES[basis])
+    remaining = dict(x.terms)
+    out = {}
+    while remaining:
+        s = next(iter(remaining))
+        c = remaining[s]
+        keys = tuple(shape(part) for part in (s if tensor else (s,)))
+        key = keys if tensor else keys[0]
+        for member in itertools.product(*(members(k) for k in keys)):
+            if remaining.pop(member if tensor else member[0], None) != c:
+                text = " (x) ".join(hopf.key_str(basis, k) for k in keys)
+                raise NotInSubalgebraError(
+                    f"coefficients not constant on the class of {text}", pair=key
+                )
+        out[key] = c
+    return hopf.Element((basis,) * len(names) if tensor else basis, out)
+
+
+def fstar_product(x: hopf.Element, y: hopf.Element) -> hopf.Element:
+    """Product in Fstar: all ways to spread values over prefix/suffix
+    standardizing to the factors (dual to deconcatenation)."""
+    if x.basis != "Fstar" or y.basis != "Fstar":
+        raise ValueError("fstar_product needs Fstar-basis elements")
+    return hopf.element_product(x, y)
+
+
+def fstar_coproduct(x: hopf.Element) -> hopf.Element:
+    """Coproduct in Fstar: split by value intervals (dual to the shifted
+    shuffle)."""
+    return hopf.linear(x, "Fstar", ("Fstar", "Fstar"),
+                       lambda s: [(cut, 1) for cut in hopf._value_cuts(s)])
+
+
+def phi(x: hopf.Element) -> hopf.Element:
+    """Project Fstar onto Pstar: each permutation maps to its class's
+    dual basis element, coefficients adding."""
+    return hopf.linear(x, "Fstar", "Pstar", lambda s: [(p_shape(s), 1)])
+
+
+def psi(x: hopf.Element) -> hopf.Element:
+    """The isomorphism F -> Fstar inverting each permutation."""
+    return hopf.linear(x, "F", "Fstar", lambda s: [(inverse(s), 1)])
+
+
+def phi_psi_theta(x: hopf.Element) -> hopf.Element:
+    """The composite P -> F -> Fstar -> Pstar (not injective)."""
+    return phi(psi(theta(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -1012,21 +1212,21 @@ def hopf_suite(max_n=5):
     pairs = {d: enumerate_tbt(d) for d in range(deg + 1)}
 
     goldens_ok = (
-        hopf.f_product(hopf.f_element((1,)), hopf.f_element((1,)))
+        f_product(f_element((1,)), f_element((1,)))
         == hopf.Element("F", {(1, 2): 1, (2, 1): 1})
-        and hopf.f_coproduct(hopf.f_element((2, 1)))
+        and f_coproduct(f_element((2, 1)))
         == hopf.Element(
             ("F", "F"), {((), (2, 1)): 1, ((1,), (1,)): 1, ((2, 1), ()): 1})
-        and hopf.f_prec(hopf.f_element((1,)), hopf.f_element((1,)))
+        and f_prec(f_element((1,)), f_element((1,)))
         == hopf.Element("F", {(2, 1): 1})
-        and hopf.f_succ(hopf.f_element((1,)), hopf.f_element((1,)))
+        and f_succ(f_element((1,)), f_element((1,)))
         == hopf.Element("F", {(1, 2): 1})
-        and hopf.f_coproduct_left(hopf.f_element((2, 1)))
+        and f_coproduct_left(f_element((2, 1)))
         == hopf.Element(("F", "F"), {((1,), (1,)): 1})
-        and not hopf.f_coproduct_right(hopf.f_element((2, 1)))
-        and hopf.p_to_f(p_shape((2, 1, 4, 3)))
+        and not f_coproduct_right(f_element((2, 1)))
+        and p_to_f(p_shape((2, 1, 4, 3)))
         == hopf.Element("F", {(2, 1, 4, 3): 1, (2, 4, 1, 3): 1})
-        and hopf.p_to_f(p_shape((5, 4, 2, 1, 6, 3)))
+        and p_to_f(p_shape((5, 4, 2, 1, 6, 3)))
         == hopf.Element("F", {(5, 4, 2, 1, 6, 3): 1, (5, 4, 2, 6, 1, 3): 1,
                               (5, 4, 6, 2, 1, 3): 1})
     )
@@ -1140,9 +1340,9 @@ def hopf_suite(max_n=5):
         for j in pairs[d]:
             if len({s[-1] for s in class_of_pair(j)}) != 1:
                 last_ok = False
-            x = hopf.theta(hopf.p_element(j))
-            full = hopf.f_coproduct(x)
-            halves = hopf.f_coproduct_left(x) + hopf.f_coproduct_right(x)
+            x = theta(hopf.p_element(j))
+            full = f_coproduct(x)
+            halves = f_coproduct_left(x) + f_coproduct_right(x)
             ends = hopf.Element(
                 ("F", "F"),
                 [(((), s), c) for s, c in x.terms.items()]
@@ -1151,23 +1351,23 @@ def hopf_suite(max_n=5):
             if full != halves + ends:
                 split_ok = False
             try:
-                hopf.collect(hopf.f_coproduct_left(x), "P")
-                hopf.collect(hopf.f_coproduct_right(x), "P")
+                collect(f_coproduct_left(x), "P")
+                collect(f_coproduct_right(x), "P")
             except Exception:  # pragma: no cover - falsifies closure
                 dend_closed_ok = False
     for d0 in range(1, dend_deg):
         for d1 in range(1, dend_deg + 1 - d0):
             for j0 in pairs[d0]:
                 for j1 in pairs[d1]:
-                    x = hopf.theta(hopf.p_element(j0))
-                    y = hopf.theta(hopf.p_element(j1))
-                    prec = hopf.f_prec(x, y)
-                    succ = hopf.f_succ(x, y)
-                    if prec + succ != hopf.f_product(x, y):
+                    x = theta(hopf.p_element(j0))
+                    y = theta(hopf.p_element(j1))
+                    prec = f_prec(x, y)
+                    succ = f_succ(x, y)
+                    if prec + succ != f_product(x, y):
                         split_ok = False
                     try:
-                        hopf.collect(prec, "P")
-                        hopf.collect(succ, "P")
+                        collect(prec, "P")
+                        collect(succ, "P")
                     except Exception:  # pragma: no cover - falsifies closure
                         dend_closed_ok = False
     checks.append(_check(
@@ -1184,15 +1384,15 @@ def hopf_suite(max_n=5):
         for b in range(1, iso_deg + 1 - a):
             for s in all_perms(a):
                 for t in all_perms(b):
-                    lhs = hopf.psi(hopf.f_product(hopf.f_element(s), hopf.f_element(t)))
-                    rhs = hopf.fstar_product(
-                        hopf.psi(hopf.f_element(s)), hopf.psi(hopf.f_element(t)))
+                    lhs = psi(f_product(f_element(s), f_element(t)))
+                    rhs = fstar_product(
+                        psi(f_element(s)), psi(f_element(t)))
                     if lhs != rhs:
                         psi_ok = False
     for a in range(1, iso_deg + 1):
         for s in all_perms(a):
-            lhs = hopf.fstar_coproduct(hopf.psi(hopf.f_element(s)))
-            tx = hopf.f_coproduct(hopf.f_element(s))
+            lhs = fstar_coproduct(psi(f_element(s)))
+            tx = f_coproduct(f_element(s))
             rhs = hopf.linear(tx, ("F", "F"), ("Fstar", "Fstar"),
                               lambda uv: [((inverse(uv[0]), inverse(uv[1])), 1)])
             if lhs != rhs:
@@ -1208,8 +1408,8 @@ def hopf_suite(max_n=5):
             for j0 in pairs[d0]:
                 for j1 in pairs[d1]:
                     results = {
-                        hopf.phi(hopf.fstar_product(
-                            hopf.fstar_element(s), hopf.fstar_element(t)))
+                        phi(fstar_product(
+                            fstar_element(s), fstar_element(t)))
                         for s in class_of_pair(j0)
                         for t in class_of_pair(j1)
                     }
@@ -1219,7 +1419,7 @@ def hopf_suite(max_n=5):
         for j in pairs[d]:
             results = set()
             for s in class_of_pair(j):
-                tx = hopf.fstar_coproduct(hopf.fstar_element(s))
+                tx = fstar_coproduct(fstar_element(s))
                 results.add(hopf.linear(tx, ("Fstar", "Fstar"), ("Pstar", "Pstar"),
                                         lambda ab: [((p_shape(ab[0]), p_shape(ab[1])), 1)]))
             if results != {hopf.dual_coproduct(j)}:
@@ -1232,8 +1432,8 @@ def hopf_suite(max_n=5):
     j3142 = p_shape((3, 1, 4, 2))
     image = hopf.Element("Pstar", {j2143: 1, j3142: 1})
     collision_ok = (
-        hopf.phi_psi_theta(hopf.p_element(j2143)) == image
-        and hopf.phi_psi_theta(hopf.p_element(j3142)) == image
+        phi_psi_theta(hopf.p_element(j2143)) == image
+        and phi_psi_theta(hopf.p_element(j3142)) == image
         and {inverse(s) for s in class_of_pair(j2143)} == {(2, 1, 4, 3), (3, 1, 4, 2)}
         and {inverse(s) for s in class_of_pair(j3142)} == {(2, 4, 1, 3), (3, 4, 1, 2)}
     )

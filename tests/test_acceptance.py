@@ -26,7 +26,6 @@ from baxter.hopf import (
     p_product,
     pair_over,
     pair_under,
-    phi_psi_theta,
     rho,
     rho_linear,
     sylv_element,
@@ -56,6 +55,7 @@ from baxter.verify import (
     congruence_partition,
     leaf_insert,
     partitions_equal,
+    phi_psi_theta,
     root_insert,
     words_up_to,
 )

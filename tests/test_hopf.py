@@ -7,18 +7,37 @@ from fractions import Fraction
 import pytest
 
 import baxter.hopf as hopf
-from baxter import verify
+from baxter import insertion, verify
 from baxter.errors import InternalInvariantError, NotInSubalgebraError
 from baxter.hopf import (
     Element,
     baxter_numbers,
-    collect,
     connected_pairs,
     dual_coproduct,
     dual_product,
     e_from_p,
     e_product,
     element_product,
+    h_from_p,
+    h_product,
+    one,
+    p_coproduct,
+    p_element,
+    p_from_e,
+    p_from_h,
+    p_product,
+    pair_over,
+    pair_under,
+    rho,
+    rho_linear,
+    sylv_element,
+    totally_primitive_basis,
+)
+from baxter.insertion import class_of_pair, p_shape
+from baxter.lattice import baxter_leq, enumerate_tbt
+from baxter.trees import all_trees, pair_str, parse_pair, parse_tree, tree_str
+from baxter.verify import (
+    collect,
     f_coproduct,
     f_coproduct_left,
     f_coproduct_right,
@@ -29,30 +48,13 @@ from baxter.hopf import (
     fstar_coproduct,
     fstar_element,
     fstar_product,
-    h_from_p,
-    h_product,
-    one,
-    p_coproduct,
-    p_element,
-    p_from_e,
-    p_from_h,
-    p_product,
     p_to_f,
-    pair_over,
-    pair_under,
     phi,
     phi_psi_theta,
     psi,
-    rho,
-    rho_linear,
-    sylv_element,
     sylv_to_f,
     theta,
-    totally_primitive_basis,
 )
-from baxter.insertion import class_of_pair, p_shape
-from baxter.lattice import baxter_leq, enumerate_tbt
-from baxter.trees import all_trees, pair_str, parse_pair, parse_tree, tree_str
 
 
 J1 = p_shape((1,))
@@ -305,19 +307,6 @@ def test_linear_multiplies_coefficients():
     assert all(isinstance(c, Fraction) for c in out.terms.values())
 
 
-def test_p_coproduct_that_fails_to_collect_is_an_internal_error(monkeypatch):
-    def refuse(x, basis):
-        raise NotInSubalgebraError("refused", pair=J21)
-
-    monkeypatch.setattr(hopf, "collect", refuse)
-    p_coproduct.cache_clear()
-    try:
-        with pytest.raises(InternalInvariantError, match="failed to collect"):
-            p_coproduct(J21)
-    finally:
-        p_coproduct.cache_clear()
-
-
 def test_products_compute_without_classes_or_collect(monkeypatch):
     t = parse_tree("((. .) (. .))")
     expected = {
@@ -328,8 +317,8 @@ def test_products_compute_without_classes_or_collect(monkeypatch):
     def refuse(*args):
         raise AssertionError("a product expanded or collected a class")
 
-    for name in ("class_of_pair", "sylvester_class_of_tree", "collect"):
-        monkeypatch.setattr(hopf, name, refuse)
+    monkeypatch.setattr(hopf, "class_of_pair", refuse)
+    monkeypatch.setattr(insertion, "sylvester_class_of_tree", refuse)
     p_product.cache_clear()
     try:
         assert p_product(J2143, J21) == expected["P"]
@@ -358,6 +347,76 @@ def test_psylv_product_matches_the_f_route_to_total_degree_6():
         via_f = collect(f_product(sylv_to_f(t0), sylv_to_f(t1)), "Psylv")
         assert element_product(sylv_element(t0), sylv_element(t1)) == via_f, (
             tree_str(t0), tree_str(t1))
+
+
+def test_p_coproduct_matches_the_f_route_to_degree_6():
+    pairs = [j for n in range(7) for j in enumerate_tbt(n)]
+    assert len(pairs) == 546
+    for j in pairs:
+        via_f = collect(f_coproduct(theta(p_element(j))), "P")
+        assert p_coproduct(j) == via_f, pair_str(j)
+
+
+def _phi_tensor(x):
+    return hopf.linear(x, ("Fstar", "Fstar"), ("Pstar", "Pstar"),
+                       lambda ab: [((p_shape(ab[0]), p_shape(ab[1])), 1)])
+
+
+def test_pstar_operations_match_the_fstar_route_to_total_degree_5():
+    for j0, j1 in _pairs_to_total_degree(enumerate_tbt, 5):
+        via_fstar = {phi(fstar_product(fstar_element(s), fstar_element(t)))
+                     for s in class_of_pair(j0) for t in class_of_pair(j1)}
+        assert via_fstar == {dual_product(j0, j1)}, (pair_str(j0), pair_str(j1))
+    for j in [j for n in range(6) for j in enumerate_tbt(n)]:
+        via_fstar = {_phi_tensor(fstar_coproduct(fstar_element(s))) for s in class_of_pair(j)}
+        assert via_fstar == {dual_coproduct(j)}, pair_str(j)
+
+
+def test_totally_primitive_bases_are_killed_by_both_f_half_coproducts():
+    for n in range(6):
+        basis = totally_primitive_basis(n)
+        assert len(basis) == verify.TOTALLY_PRIMITIVE_DIMS[n]
+        for elem in basis:
+            x = theta(elem)
+            assert not f_coproduct_left(x) and not f_coproduct_right(x), (n, elem)
+
+
+def test_coproducts_duals_and_primitives_build_no_permutation_element(monkeypatch):
+    pairs = [j for n in range(5) for j in enumerate_tbt(n)]
+
+    def answers():
+        return ([repr(p_coproduct(j)) for j in pairs],
+                [repr(dual_product(j0, j1))
+                 for j0, j1 in _pairs_to_total_degree(enumerate_tbt, 4)],
+                [repr(dual_coproduct(j)) for j in pairs],
+                [repr(totally_primitive_basis(n)) for n in range(5)])
+
+    expected = answers()
+
+    class PairsOnly(Element):
+        __slots__ = ()
+
+        def __init__(self, basis, terms=()):
+            if {"F", "Fstar"} & set(hopf._names(basis)):
+                raise AssertionError(f"built an element of basis {basis}")
+            super().__init__(basis, terms)
+
+    monkeypatch.setattr(hopf, "Element", PairsOnly)
+    caches = (p_coproduct, hopf._totally_primitive_cached)
+    for cached in caches:
+        cached.cache_clear()
+    try:
+        assert answers() == expected
+        with pytest.raises(AssertionError, match="basis Fstar"):
+            fstar_element((1,))
+    finally:
+        for cached in caches:
+            cached.cache_clear()
+
+
+def test_hopf_caches_are_bounded():
+    for cached in (p_product, p_coproduct, hopf._fstar_key_product):
+        assert cached.cache_info().maxsize is not None
 
 
 def _in_normal_form(x):
@@ -429,7 +488,7 @@ def test_elements_are_equal_across_int_and_fraction_coefficients():
     x = Element("F", {members[0]: Fraction(2), members[1]: 2})
     assert collect(x, "P") == Element("P", {j: 2})
     tensor = Element(("F", "F"), {(members[0], (1,)): Fraction(1), (members[1], (1,)): 1})
-    assert hopf.collect(tensor, "P") == Element(("P", "P"), {(j, J1): 1})
+    assert collect(tensor, "P") == Element(("P", "P"), {(j, J1): 1})
 
 
 def test_order_sum_bases_round_trip():

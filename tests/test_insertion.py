@@ -160,7 +160,7 @@ def test_min_and_max_perm_bound_the_class():
 def test_extremes_meet_join_and_duals_never_enumerate_a_class(monkeypatch):
     import random
 
-    from baxter.hopf import dual_coproduct, dual_product
+    from baxter.hopf import connected_pairs, dual_coproduct, dual_product
     from baxter.lattice import baxter_join, baxter_meet
 
     pairs = sorted({p_shape(p) for n in range(5) for p in all_perms(n)}, key=pair_str)
@@ -172,7 +172,9 @@ def test_extremes_meet_join_and_duals_never_enumerate_a_class(monkeypatch):
         return ([(min_perm(j), max_perm(j)) for j in pairs],
                 [(baxter_meet(a, b), baxter_join(a, b)) for a, b in alike],
                 [repr(dual_product(a, b)) for a in small for b in small],
-                [repr(dual_coproduct(j)) for j in small])
+                [repr(dual_coproduct(j)) for j in small],
+                [baxter_representative(j) for j in pairs],
+                connected_pairs(4))
 
     expected = answers()
     assert expected[0] == [(min(class_of_pair(j)), max(class_of_pair(j))) for j in pairs]
@@ -182,6 +184,7 @@ def test_extremes_meet_join_and_duals_never_enumerate_a_class(monkeypatch):
 
     monkeypatch.setattr(insertion, "class_of_pair", refuse)
     insertion._extremes.cache_clear()
+    connected_pairs.cache_clear()
     assert answers() == expected
 
     # a degree-60 class of about 3.8e38 members, far past any enumeration
@@ -191,6 +194,8 @@ def test_extremes_meet_join_and_duals_never_enumerate_a_class(monkeypatch):
     lo, hi = min_perm(j), max_perm(j)
     assert p_shape(lo) == j == p_shape(hi) and permutohedron_leq(lo, hi)
     assert baxter_join(j, j) == j == baxter_meet(j, j)
+    rep = baxter_representative(j)
+    assert is_baxter(rep) and p_shape(rep) == j
 
 
 def test_class_caches_are_bounded():

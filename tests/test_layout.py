@@ -23,7 +23,11 @@ MOVED = {
     "leaf_insert", "root_insert", "infix_labeling", "is_left_bst",
     "is_right_bst", "_bounds_ok", "is_decreasing", "co_inversions",
     "_is_baxter_scan", "series_check", "_series_mul", "_series_inv",
-    "_position_shuffle",
+    "_position_shuffle", "f_product", "f_coproduct", "f_coproduct_left",
+    "f_coproduct_right", "_deconcatenate", "_after_max", "f_prec", "f_succ",
+    "_half_product", "collect", "_CLASSES", "_class_sums", "_right_shape",
+    "theta", "p_to_f", "sylv_to_f", "fstar_product", "fstar_coproduct", "phi",
+    "psi", "phi_psi_theta", "f_element", "fstar_element",
 }
 # Defined nowhere in the package.
 DELETED = {
