@@ -54,7 +54,7 @@ def cmd_insert(args):
     left, right = p_symbol(u)
     q = q_symbol(u)
     shape = p_shape(u)
-    # the empty pair has empty canopies, as trees_by_canopy(0) keys it
+    # the empty pair has empty canopies, though canopy() rejects the leaf
     canopies = [canopy(t) if u else "" for t in shape]
     payload = {
         "word": word_str(u),

@@ -55,6 +55,7 @@ from .lattice import enumerate_tbt, hasse, positions
 from .perms import is_connected
 from .trees import (
     canopy,
+    canopy_class,
     complement_canopy,
     graft_over,
     graft_under,
@@ -63,7 +64,6 @@ from .trees import (
     tamari_interval,
     tamari_vector,
     tree_str,
-    trees_by_canopy,
 )
 from .words import shifted_shuffle, standardize, word_str
 
@@ -492,13 +492,14 @@ def rho(t) -> Element:
     """Embed a sylvester class: the sum of P over all twin partners of ``t``.
 
     ``t`` plays the right-tree role; the sum runs over every left tree
-    with the complementary canopy, among all trees of its (capped) size.
+    with the complementary canopy, listed as the rotation interval
+    :func:`~baxter.trees.canopy_class`.  The degree of ``t`` is capped.
     """
     n = tree_size(t)
     config.check_enum_degree(n)
     if n == 0:
         return Element("P", {(None, None): 1})
-    partners = trees_by_canopy(n).get(complement_canopy(canopy(t)), ())
+    partners = canopy_class(complement_canopy(canopy(t)))
     return Element("P", {(t2, t): 1 for t2 in partners})
 
 

@@ -155,7 +155,7 @@ def check_twin_pair(pair):
     return pair
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8192)  # `bx verify insertion --max-n 7` asks for 5,913 words
 def p_shape(u):
     """Unlabeled shape of the P-symbol of ``u`` (cached), checked to be a
     twin pair; from the same insertion passes as :func:`p_symbol`."""

@@ -8,12 +8,14 @@ trees at the same canopy position.  A rotation keeps the canopy unless
 the subtree it moves across is empty, so :func:`baxter_covers` reads the
 covers off the infix-numbered tree edges.  Meets and joins project the weak
 order meet/join of class extremes.  :func:`enumerate_tbt` lists the
-pairs of a degree in canonical order and :func:`hasse` their covers;
-the order-sum tables of :mod:`baxter.hopf` are built from these alone.
+pairs of a degree in canonical order, each canopy class walked as a
+rotation interval, and :func:`hasse` their covers; the order-sum tables
+of :mod:`baxter.hopf` are built from these alone.
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -21,13 +23,13 @@ from . import config
 from .insertion import check_twin_pair, max_perm, min_perm, p_shape
 from .perms import weak_order_join, weak_order_meet
 from .trees import (
+    canopy_class,
     complement_canopy,
     infix_edges,
     left_rotate,
     pair_str,
     right_rotate,
     tamari_leq,
-    trees_by_canopy,
 )
 
 
@@ -49,9 +51,12 @@ def enumerate_tbt(n: int) -> tuple:
     if n < 0:
         raise ValueError("n must be nonnegative")
     config.check_enum_degree(n)
-    groups = trees_by_canopy(n)
-    pairs = [(tl, tr) for c, lefts in groups.items() for tl in lefts
-             for tr in groups.get(complement_canopy(c), ())]
+    if n == 0:
+        return ((None, None),)
+    pairs = []
+    for bits in itertools.product("01", repeat=n - 1):
+        c = "".join(bits)
+        pairs += itertools.product(canopy_class(c), canopy_class(complement_canopy(c)))
     return tuple(sorted(pairs, key=pair_str))
 
 

@@ -466,6 +466,26 @@ def tamari_interval(lo, hi) -> list:
     return out
 
 
+@lru_cache(maxsize=256)  # every canopy word of degree <= 8 (255)
+def canopy_class(c: str) -> tuple:
+    """The trees whose canopy is ``c``: a rotation interval, since canopy
+    is a lattice quotient of the rotation order.  The least tree grows
+    one node per bit: a new root above it for a ``0``, a node at its
+    rightmost leaf for a ``1``.  The greatest grows from the last bit
+    back: a node at its leftmost leaf for a ``0``, a new root for a ``1``.
+
+    >>> [tree_str(t) for t in canopy_class("10")]
+    ['((. (. .)) .)', '(. ((. .) .))']
+    """
+    node = Node(None, None)
+    lo = hi = node
+    for b in c:
+        lo = graft_over(lo, node) if b == "0" else graft_under(lo, node)
+    for b in reversed(c):
+        hi = graft_over(node, hi) if b == "0" else graft_under(node, hi)
+    return tuple(tamari_interval(lo, hi))
+
+
 # ---------------------------------------------------------------------------
 # splitting a right binary search tree at a letter
 
@@ -513,31 +533,3 @@ def restricted_trees(t, b: int):
     '(4 (3 (3 . .) .) (5 . .))'
     """
     return _restrict_le(t, b), _restrict_gt(t, b)
-
-
-# ---------------------------------------------------------------------------
-# enumeration
-
-
-@lru_cache(maxsize=None)
-def all_trees(n: int):
-    """All shapes with ``n`` nodes, in a fixed order (Catalan many)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n == 0:
-        return (None,)
-    out = []
-    for k in range(n):
-        for left in all_trees(k):
-            for right in all_trees(n - 1 - k):
-                out.append(Node(left, right))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def trees_by_canopy(n: int):
-    """Shapes with ``n`` nodes grouped by canopy word."""
-    groups = {}
-    for t in all_trees(n):
-        groups.setdefault(canopy(t) if n else "", []).append(t)
-    return {c: tuple(ts) for c, ts in groups.items()}

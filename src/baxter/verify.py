@@ -8,13 +8,13 @@ generating-series identities.  Each suite returns a list of
 them at the documented bounds.
 
 It is also the one home of the brute-force oracles that the fast paths
-are compared against and never call: letter-by-letter leaf and root
-insertion, infix labelling, the search-tree predicates, co-inversion
-sets, the O(n^3) pattern scan, the position-set shuffle, the
-generating-series identities, and the maps into and out of the
-permutation bases ``F`` and ``Fstar`` (class sums expanded, multiplied
-or cut there, and collected back) that the class-sum rules of
-:mod:`baxter.hopf` are checked against.
+are compared against and never call: the Catalan list of all tree
+shapes, letter-by-letter leaf and root insertion, infix labelling, the
+search-tree predicates, co-inversion sets, the O(n^3) pattern scan, the
+position-set shuffle, the generating-series identities, and the maps
+into and out of the permutation bases ``F`` and ``Fstar`` (class sums
+expanded, multiplied or cut there, and collected back) that the
+class-sum rules of :mod:`baxter.hopf` are checked against.
 Only the CLI and the tests import this module, and only this module
 imports the rewrite closure of :mod:`baxter.congruence`.
 
@@ -67,7 +67,7 @@ from .perms import (
 )
 from .trees import (
     LNode,
-    all_trees,
+    Node,
     canopy,
     graft_over,
     graft_under,
@@ -112,6 +112,21 @@ def _check(name, ok, detail=""):
 
 def all_perms(n):
     return [tuple(p) for p in itertools.permutations(range(1, n + 1))]
+
+
+@lru_cache(maxsize=None)
+def all_trees(n: int):
+    """All shapes with ``n`` nodes, in a fixed order (Catalan many)."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n == 0:
+        return (None,)
+    out = []
+    for k in range(n):
+        for left in all_trees(k):
+            for right in all_trees(n - 1 - k):
+                out.append(Node(left, right))
+    return tuple(out)
 
 
 def words_up_to(alphabet_size, max_len):

@@ -43,13 +43,13 @@ from baxter.insertion import (
 from baxter.lattice import baxter_join, baxter_leq, baxter_meet, enumerate_tbt
 from baxter.perms import inverse, is_baxter
 from baxter.trees import (
-    all_trees,
     canopy,
     right_rotate,
     tamari_leq,
     unlabel,
 )
 from baxter.verify import (
+    all_trees,
     baxter_number_formula,
     co_inversions,
     congruence_partition,

@@ -35,8 +35,16 @@ from baxter.hopf import (
 )
 from baxter.insertion import class_of_pair, p_shape
 from baxter.lattice import baxter_leq, enumerate_tbt
-from baxter.trees import all_trees, pair_str, parse_pair, parse_tree, tree_str
+from baxter.trees import (
+    canopies_complementary,
+    canopy,
+    pair_str,
+    parse_pair,
+    parse_tree,
+    tree_str,
+)
 from baxter.verify import (
+    all_trees,
     collect,
     f_coproduct,
     f_coproduct_left,
@@ -587,6 +595,14 @@ def test_rho_sums_twin_partners():
     got = rho(two_partner)
     assert len(got.terms) == sum(
         1 for pair in enumerate_tbt(3) if pair[1] == two_partner)
+
+
+def test_rho_sums_the_complementary_canopy_filter_of_all_trees():
+    for n in range(1, 7):
+        for t in all_trees(n):
+            partners = {tl for tl in all_trees(n)
+                        if canopies_complementary(canopy(tl), canopy(t))}
+            assert rho(t) == Element("P", {(tl, t): 1 for tl in partners})
 
 
 def test_rho_is_capped_by_the_enumeration_degree():

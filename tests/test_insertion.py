@@ -21,15 +21,21 @@ from baxter.insertion import (
 from baxter.perms import is_baxter, permutohedron_leq
 from baxter.trees import (
     Node,
-    all_trees,
     canopy,
+    canopy_class,
     infix_edges,
     ltree_str,
     pair_str,
     tree_str,
     unlabel,
 )
-from baxter.verify import infix_labeling, is_decreasing, leaf_insert, root_insert
+from baxter.verify import (
+    all_trees,
+    infix_labeling,
+    is_decreasing,
+    leaf_insert,
+    root_insert,
+)
 
 
 def all_perms(n):
@@ -199,7 +205,8 @@ def test_extremes_meet_join_and_duals_never_enumerate_a_class(monkeypatch):
 
 
 def test_class_caches_are_bounded():
-    for cached in (insertion._extremes, class_of_pair, sylvester_class_of_tree):
+    for cached in (insertion._extremes, class_of_pair, sylvester_class_of_tree,
+                   p_shape, canopy_class):
         assert cached.cache_info().maxsize is not None
 
 

@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from baxter import config
 from baxter.cli import main
 from baxter.hopf import Element, e_from_p, h_from_p
 from baxter.insertion import is_twin_pair, min_perm, p_shape
@@ -19,7 +20,15 @@ from baxter.lattice import (
     hasse_dot,
 )
 from baxter.perms import permutohedron_leq
-from baxter.trees import pair_str, parse_pair, tamari_vector, tree_str
+from baxter.trees import (
+    canopy,
+    complement_canopy,
+    pair_str,
+    parse_pair,
+    tamari_vector,
+    tree_str,
+)
+from baxter.verify import all_trees
 
 
 def all_perms(n):
@@ -40,6 +49,19 @@ def test_enumeration_is_in_pair_text_order_and_hasse_lists_the_sorted_covers():
             sorted((pair_str(c.target), c.case) for c in baxter_covers(j))
             for j in pairs
         ]
+
+
+def test_enumeration_pairs_the_canopy_groups_of_all_trees(monkeypatch):
+    # The Catalan-list construction the canopy-interval walk replaced.
+    # The uncached function runs, so no degree-8 table outlives the cap.
+    monkeypatch.setattr(config, "ENUM_DEGREE_CAP", 8)
+    for n in range(9):
+        groups = {}
+        for t in all_trees(n):
+            groups.setdefault(canopy(t) if n else "", []).append(t)
+        pairs = [(tl, tr) for c, lefts in groups.items() for tl in lefts
+                 for tr in groups.get(complement_canopy(c), ())]
+        assert enumerate_tbt.__wrapped__(n) == tuple(sorted(pairs, key=pair_str))
 
 
 def test_enumeration_matches_insertion_shapes():

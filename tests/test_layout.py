@@ -27,12 +27,12 @@ MOVED = {
     "f_coproduct_right", "_deconcatenate", "_after_max", "f_prec", "f_succ",
     "_half_product", "collect", "_CLASSES", "_class_sums", "_right_shape",
     "theta", "p_to_f", "sylv_to_f", "fstar_product", "fstar_coproduct", "phi",
-    "psi", "phi_psi_theta", "f_element", "fstar_element",
+    "psi", "phi_psi_theta", "f_element", "fstar_element", "all_trees",
 }
 # Defined nowhere in the package.
 DELETED = {
     "perm_over", "perm_under", "SeriesReport", "f_collect_to_p",
-    "f_collect_to_sylv", "LEAF", "Word",
+    "f_collect_to_sylv", "LEAF", "Word", "trees_by_canopy",
 }
 ORACLES = MOVED | {"adjacent_rewrites", "congruence_class", "equivalent"}
 

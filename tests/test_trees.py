@@ -7,9 +7,9 @@ from baxter.trees import (
     LNode,
     Node,
     ParseError,
-    all_trees,
     canopies_complementary,
     canopy,
+    canopy_class,
     complement_canopy,
     graft_over,
     graft_under,
@@ -26,10 +26,10 @@ from baxter.trees import (
     tamari_leq,
     tamari_vector,
     tree_str,
-    trees_by_canopy,
     unlabel,
 )
 from baxter.verify import (
+    all_trees,
     infix_labeling,
     is_decreasing,
     is_left_bst,
@@ -196,16 +196,23 @@ def test_canopy_examples():
 def test_complement_canopy():
     assert complement_canopy("0110") == "1001"
     assert complement_canopy("") == ""
-    assert canopies_complementary(parse_tree("((. .) .)"), parse_tree("(. (. .))"))
-    assert not canopies_complementary(parse_tree("((. .) .)"), parse_tree("((. .) .)"))
+    left, right = canopy(parse_tree("((. .) .)")), canopy(parse_tree("(. (. .))"))
+    assert canopies_complementary(left, right)
+    assert not canopies_complementary(left, left)
+    assert not canopies_complementary("0", "10")
+    assert not canopies_complementary("0110", "1011")
 
 
-def test_trees_by_canopy_partitions_all_trees():
-    for n in range(1, 6):
-        groups = trees_by_canopy(n)
-        assert sum(len(g) for g in groups.values()) == len(all_trees(n))
+def test_canopy_classes_are_the_canopy_grouping_of_all_trees():
+    for n in range(1, 9):
+        groups = {}
+        for t in all_trees(n):
+            groups.setdefault(canopy(t), set()).add(t)
+        assert len(groups) == 2 ** (n - 1)
         for word, group in groups.items():
-            assert all(canopy(t) == word for t in group)
+            got = canopy_class(word)
+            assert len(got) == len(group)
+            assert set(got) == group
 
 
 def test_tamari_vector_bounds():
