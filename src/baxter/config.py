@@ -6,7 +6,13 @@ are ordinary module attributes and may be raised at runtime, e.g.::
 
     import baxter.config
     baxter.config.ENUM_DEGREE_CAP = 8
+
+A cached operation checks its cap before its cache (:func:`capped_cache`),
+so an answer cached under a raised cap is refused once the cap is
+lowered again.
 """
+
+from functools import lru_cache, wraps
 
 # Largest n for which twin-pair enumeration, lattice construction, and
 # primitive-element extraction will run without complaint.
@@ -32,3 +38,21 @@ def check_product_degree(n):
             f"total degree {n} exceeds PRODUCT_DEGREE_CAP={PRODUCT_DEGREE_CAP}; "
             "raise baxter.config.PRODUCT_DEGREE_CAP to allow this"
         )
+
+
+def capped_cache(check, maxsize=None):
+    """Decorator: an ``lru_cache`` of ``maxsize`` entries whose every
+    call, hits included, first passes ``check`` on the same positional
+    and keyword arguments.  The wrapper keeps the cache's ``cache_info``
+    and ``cache_clear``."""
+    def decorate(fn):
+        cached = lru_cache(maxsize=maxsize)(fn)
+
+        @wraps(fn)
+        def checked(*args, **kwargs):
+            check(*args, **kwargs)
+            return cached(*args, **kwargs)
+
+        checked.cache_info, checked.cache_clear = cached.cache_info, cached.cache_clear
+        return checked
+    return decorate

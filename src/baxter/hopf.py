@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache, reduce, wraps
+from functools import lru_cache, partial, reduce
 from operator import or_
 
 from . import config
@@ -84,9 +84,8 @@ def key_degree(basis: str, key) -> int:
     kind = _BASES[basis][0]
     if kind == "perm":
         return len(key)
-    if kind == "pair":
-        return tree_size(key[0])
-    return tree_size(key)
+    # a tree's degree is its vector's length: memoized for small trees
+    return len(tamari_vector(key[0] if kind == "pair" else key))
 
 
 def key_str(basis: str, key) -> str:
@@ -138,19 +137,26 @@ class Element:
                 raise ValueError(f"unknown basis {name!r}")
         acc = {}
         items = terms.items() if hasattr(terms, "items") else terms
+        normal = True  # every coefficient a nonzero int, and no key twice
         for key, coeff in items:
-            if type(coeff) is not int:
+            if type(coeff) is not int or not coeff:
                 coeff = _exact(coeff)
+                normal = False
             old = acc.get(key)
-            acc[key] = coeff if old is None else old + coeff
-        # drop the zeros and put Fraction sums in normal form in place:
-        # copying would hash every key again
-        for key in [k for k, c in acc.items() if not c or type(c) is not int]:
-            c = _exact(acc[key])
-            if c:
-                acc[key] = c
+            if old is None:
+                acc[key] = coeff
             else:
-                del acc[key]
+                acc[key] = old + coeff
+                normal = False
+        if not normal:
+            # drop the zeros and put Fraction sums in normal form in
+            # place: copying would hash every key again
+            for key in [k for k, c in acc.items() if not c or type(c) is not int]:
+                c = _exact(acc[key])
+                if c:
+                    acc[key] = c
+                else:
+                    del acc[key]
         self.basis = basis
         self.terms = acc
 
@@ -300,21 +306,11 @@ def _check_degree(basis: str, *keys):
     config.check_product_degree(sum(key_degree(basis, k) for k in keys))
 
 
-def _capped_cache(fn):
-    """Cache an operation on twin pairs, checking the degree cap first:
-    the cache hashes the pairs, which recurses in C and crashes on deep
-    enough trees.  The check runs on cache hits too, since ``lru_cache``
-    hashes a key before it knows whether it holds it."""
-    # `bx verify all --max-n 6` asks for 1,488 products and 546 coproducts
-    cached = lru_cache(maxsize=2048)(fn)
-
-    @wraps(fn)
-    def checked(*keys):
-        _check_degree("P", *keys)
-        return cached(*keys)
-
-    checked.cache_info, checked.cache_clear = cached.cache_info, cached.cache_clear
-    return checked
+# Cache an operation on twin pairs, checking the degree cap first, on
+# hits too: the cache hashes the pairs, which recurses in C and crashes on
+# deep enough trees.  `bx verify all --max-n 6` asks for 1,488 products
+# and 546 coproducts.
+_capped_cache = config.capped_cache(partial(_check_degree, "P"), maxsize=2048)
 
 
 @_capped_cache
@@ -362,7 +358,13 @@ def p_coproduct(j) -> Element:
 # the order-sum bases E and H
 
 
-@lru_cache(maxsize=None)
+def _check_tables(basis, n):
+    if basis not in ("E", "H"):
+        raise ValueError(f"not an order-sum basis: {basis!r}")
+    config.check_enum_degree(n)
+
+
+@config.capped_cache(_check_tables)
 def order_sum_tables(basis: str, n: int):
     """Degree-n base-change tables between an order-sum basis and P.
 
@@ -379,8 +381,6 @@ def order_sum_tables(basis: str, n: int):
     of the cones in ``S`` (the join of ``S``, or meet for H), over the
     sets ``S`` of edge ends of ``j``.
     """
-    if basis not in ("E", "H"):
-        raise ValueError(f"not an order-sum basis: {basis!r}")
     pairs = enumerate_tbt(n)
     up = [(i, k) for i, covers in enumerate(hasse(n)) for k, _ in covers]
     edges = [[] for _ in pairs]
@@ -461,7 +461,7 @@ def pair_under(j0, j1):
     return _graft_pairs(j0, j1, graft_over, graft_under)
 
 
-@lru_cache(maxsize=None)
+@config.capped_cache(config.check_enum_degree)
 def connected_pairs(n: int) -> frozenset:
     """Twin pairs whose Baxter representative is connected.
 
@@ -470,7 +470,6 @@ def connected_pairs(n: int) -> frozenset:
     """
     if n == 0:
         return frozenset()
-    config.check_enum_degree(n)
     return frozenset(
         j for j in enumerate_tbt(n) if is_connected(baxter_representative(j))
     )

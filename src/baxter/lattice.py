@@ -16,7 +16,6 @@ of :mod:`baxter.hopf` are built from these alone.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 from typing import NamedTuple
 
 from . import config
@@ -26,9 +25,8 @@ from .trees import (
     canopy_class,
     complement_canopy,
     infix_edges,
-    left_rotate,
     pair_str,
-    right_rotate,
+    rotations,
     tamari_leq,
 )
 
@@ -40,7 +38,13 @@ class PairCover(NamedTuple):
     case: str  # "left-only" | "right-only" | "simultaneous"
 
 
-@lru_cache(maxsize=None)
+def _check_degree(n):
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    config.check_enum_degree(n)
+
+
+@config.capped_cache(_check_degree)
 def enumerate_tbt(n: int) -> tuple:
     """All twin pairs of size ``n`` (Baxter many), in the canonical order:
     sorted by :func:`~baxter.trees.pair_str`.
@@ -48,9 +52,6 @@ def enumerate_tbt(n: int) -> tuple:
     >>> [len(enumerate_tbt(k)) for k in range(5)]
     [1, 1, 2, 6, 22]
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    config.check_enum_degree(n)
     if n == 0:
         return ((None, None),)
     pairs = []
@@ -63,9 +64,10 @@ def enumerate_tbt(n: int) -> tuple:
 def baxter_leq(j0, j1) -> bool:
     """Order on twin pairs: left vectors decrease, right vectors increase.
 
-    The left trees are compared first; the right trees are walked only
-    when that comparison holds.  Each call walks its trees afresh, so a
-    sweep over many pairs should compute the vectors once itself.
+    The left trees are compared first; the right trees only when that
+    comparison holds.  The vectors of small trees come from the memo of
+    :func:`~baxter.trees.tamari_vector`, so a sweep over the pairs of a
+    degree walks each tree once.
 
     >>> j12, j21 = p_shape((1, 2)), p_shape((2, 1))
     >>> baxter_leq(j12, j21), baxter_leq(j21, j12)
@@ -82,21 +84,25 @@ def baxter_covers(j) -> frozenset:
     edge (p, c) with c < p - 1 the *right-only* ``right_rotate(right, p)``;
     and left edge (i, i + 1) with right edge (i + 1, i) the *simultaneous*
     ``left_rotate(left, i)``, ``right_rotate(right, i + 1)``, which flip
-    the same canopy bit.  Output-sensitive: one walk of each tree, then
-    one rotation (a walk to its pivot and a path rebuild) per cover.
+    the same canopy bit.  Output-sensitive: two walks of each tree, for
+    its edges and for the parent links of :func:`~baxter.trees.rotations`,
+    then one rotation per cover, in the pivot's depth.
 
     >>> [c.case for c in baxter_covers(p_shape((1, 2)))]
     ['simultaneous']
     """
     tl, tr = check_twin_pair(j)
     left_edges, right_edges = infix_edges(tl)[1], infix_edges(tr)[1]
-    covers = [PairCover((left_rotate(tl, p), tr), "left-only")
-              for p, c in left_edges if c > p + 1]
-    covers += [PairCover((tl, right_rotate(tr, p)), "right-only")
-               for p, c in right_edges if c < p - 1]
+    lefts = [p for p, c in left_edges if c > p + 1]
+    rights = [p for p, c in right_edges if c < p - 1]
     falls = {c for p, c in right_edges if c == p - 1}
-    covers += [PairCover((left_rotate(tl, p), right_rotate(tr, c)), "simultaneous")
-               for p, c in left_edges if c == p + 1 and p in falls]
+    both = [p for p, c in left_edges if c == p + 1 and p in falls]
+    ul = rotations(tl, lefts + both, False)
+    ur = rotations(tr, rights + [p + 1 for p in both], True)
+    covers = [PairCover((u, tr), "left-only") for u in ul[:len(lefts)]]
+    covers += [PairCover((tl, u), "right-only") for u in ur[:len(rights)]]
+    covers += [PairCover(pair, "simultaneous")
+               for pair in zip(ul[len(lefts):], ur[len(rights):])]
     return frozenset(covers)
 
 
@@ -117,7 +123,7 @@ def baxter_join(j0, j1):
     return p_shape(weak_order_join(max_perm(j0), max_perm(j1)))
 
 
-@lru_cache(maxsize=None)
+@config.capped_cache(_check_degree)
 def hasse(n: int) -> tuple:
     """The covers of each pair of ``enumerate_tbt(n)``, in that order, as
     sorted ``(position, case)`` tuples: the target's position in

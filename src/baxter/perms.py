@@ -8,14 +8,17 @@ of co-inversion sets under transitivity.  Reversing a permutation
 complements its co-inversion set, which turns the order upside down, so
 a meet is the reversed join of the reversals: it closes the union of
 the complemented sets.  The order, joins and meets run on one bit-mask
-row of co-inversions per value: one helper closes the rows in one pass
-and rebuilds the permutation by popcount, in O(n^2) int operations and
-with no sets.  It is memoized on the rows it closes (1024 entries): a
-sweep of joins or meets closes few distinct sets of rows.
+row of co-inversions per value, and meets on the complement rows: one
+helper closes the union of two permutations' rows in one pass and
+rebuilds the permutation by popcount, in O(n^2) int operations and with
+no sets, the same work for a join and a meet.  It is memoized on the
+rows it closes (1024 entries): a sweep of joins or meets closes few
+distinct sets of rows.
 
-The rows of a permutation are validated and built once per process, by
-the memo :func:`_rows` (an ``lru_cache`` bounded at 2048 entries, so a
-sweep over S_6 keeps every operand's rows).  Its keys compare by value:
+The rows of a permutation and their complements are validated and built
+once per process, by the memo :func:`_rows` (an ``lru_cache`` bounded at
+2048 entries, so a sweep over S_6 keeps every operand's rows).  Its keys
+compare by value:
 ``(1.0, 2.0)``, ``(True, 2)`` and ``(1, 2)`` share one entry, and the
 rows are built from ``int`` letters, so the answer does not depend on
 which spelling reached the cache first.  Inputs that are not
@@ -57,40 +60,45 @@ def inverse(sigma) -> tuple:
 
 @lru_cache(maxsize=2048)
 def _rows(s: tuple) -> tuple:
-    """The co-inversion rows of the permutation tuple ``s``: bit ``j - 1``
-    of ``rows[i - 1]`` is set when ``i < j`` and ``j`` comes before ``i``.
+    """The co-inversion rows of the permutation tuple ``s`` and their
+    complements: bit ``j - 1`` of ``rows[i - 1]`` is set when ``i < j``
+    and ``j`` comes before ``i``, and of ``complements[i - 1]`` when
+    ``i < j`` and ``i`` comes first.
 
     ``s`` is checked as :func:`check_permutation` checks it, on a cache
     miss only; hits are found by value, so equal tuples of other numeric
     types share the entry, which is built from ``int`` letters.
 
-    >>> [bin(row) for row in _rows((3, 1, 2))]
-    ['0b100', '0b100', '0b0']
+    >>> [[bin(row) for row in part] for part in _rows((3, 1, 2))]
+    [['0b100', '0b100', '0b0'], ['0b10', '0b0', '0b0']]
     """
     if not is_permutation(s):
         raise ValueError(f"not a permutation: {s}")
     rows = [0] * len(s)
+    complements = [0] * len(s)
     seen = 0
+    full = (1 << len(s)) - 1
     for v in map(int, s):
+        # x >> v << v keeps the values above v
         rows[v - 1] = seen >> v << v
+        complements[v - 1] = full >> v << v & ~seen
         seen |= 1 << (v - 1)
-    return tuple(rows)
+    return tuple(rows), tuple(complements)
 
 
-def _checked_rows(sigma) -> tuple:
+def _same_size(sigma, nu):
+    """The memo entries of :func:`_rows` of two permutations of the same
+    size, looked up in one frame."""
     s = tuple(sigma)
     try:
-        return _rows(s)
+        a = _rows(s)
+        s = tuple(nu)  # from here on, errors are about ``nu``
+        b = _rows(s)
     except TypeError:
         # an unhashable letter: report it as check_permutation does
         check_permutation(s)
         raise
-
-
-def _same_size(sigma, nu):
-    """The co-inversion rows of two permutations of the same size."""
-    a, b = _checked_rows(sigma), _checked_rows(nu)
-    if len(a) != len(b):
+    if len(a[0]) != len(b[0]):
         raise ValueError("sizes differ")
     return a, b
 
@@ -103,7 +111,7 @@ def permutohedron_leq(sigma, nu) -> bool:
     >>> permutohedron_leq((2, 1, 3), (1, 3, 2))
     False
     """
-    a, b = _same_size(sigma, nu)
+    (a, _), (b, _) = _same_size(sigma, nu)
     return all(map(eq, map(or_, a, b), b))
 
 
@@ -148,7 +156,7 @@ def _closed_permutation(rows: tuple) -> tuple:
         closed[i] = row
         result.insert(row.bit_count(), i + 1)
     result = tuple(result)
-    if _rows(result) != tuple(closed):
+    if _rows(result)[0] != tuple(closed):
         raise RuntimeError("closed co-inversion set is not realizable")
     return result
 
@@ -162,7 +170,7 @@ def weak_order_join(sigma, nu) -> tuple:
     >>> weak_order_join((2, 1, 3), (1, 3, 2))
     (3, 2, 1)
     """
-    a, b = _same_size(sigma, nu)
+    (a, _), (b, _) = _same_size(sigma, nu)
     return _closed_permutation(tuple(map(or_, a, b)))
 
 
@@ -170,20 +178,17 @@ def weak_order_meet(sigma, nu) -> tuple:
     """Greatest lower bound in the right weak order.
 
     The reversal of a permutation has the complemented co-inversion set,
-    so the meet is the reversal of the join of the reversals.  That join
-    closes the complement of the intersection of the two co-inversion
-    sets, by the same pass as :func:`weak_order_join`.
+    so the meet is the reversal of the join of the reversals: it closes
+    the union of the two complement sets, by the same pass as
+    :func:`weak_order_join`.
 
     >>> weak_order_meet((2, 1, 3), (1, 3, 2))
     (1, 2, 3)
     >>> weak_order_meet((3, 1, 2), (2, 3, 1))
     (1, 2, 3)
     """
-    a, b = _same_size(sigma, nu)
-    full = (1 << len(a)) - 1
-    # full >> i << i: the values above i
-    rows = tuple([full >> i << i & ~(x & y) for i, (x, y) in enumerate(zip(a, b), 1)])
-    return _closed_permutation(rows)[::-1]
+    (_, a), (_, b) = _same_size(sigma, nu)
+    return _closed_permutation(tuple(map(or_, a, b)))[::-1]
 
 
 def is_baxter(sigma) -> bool:

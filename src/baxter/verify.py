@@ -71,11 +71,11 @@ from .trees import (
     canopy,
     graft_over,
     graft_under,
-    left_rotate,
+    infix_edges,
     ltree_str,
     parse_tree,
     restricted_trees,
-    right_rotate,
+    rotations,
     size as tree_size,
     tamari_leq,
     tamari_vector,
@@ -805,6 +805,13 @@ def _labels(t):
     return _labels(t.left) + [t.label] + _labels(t.right)
 
 
+def _rotated(t, right):
+    """``(pivot, tree)`` for every right (``right`` true) or left rotation
+    of ``t``: a node with a left child, or with a right child."""
+    pivots = [p for p, c in infix_edges(t)[1] if (c < p) == right]
+    return zip(pivots, rotations(t, pivots, right))
+
+
 def trees_suite(max_n=5):
     checks = []
 
@@ -823,11 +830,7 @@ def trees_suite(max_n=5):
             while frontier:
                 nxt = []
                 for s in frontier:
-                    for i in range(1, k + 1):
-                        try:
-                            r = right_rotate(s, i)
-                        except ValueError:
-                            continue
+                    for _, r in _rotated(s, True):
                         if r not in reach:
                             reach.add(r)
                             nxt.append(r)
@@ -844,21 +847,11 @@ def trees_suite(max_n=5):
     for m in range(1, k + 1):
         for t in all_trees(m):
             v = tamari_vector(t)
-            for i in range(1, m + 1):
-                try:
-                    r = right_rotate(t, i)
-                except ValueError:
-                    continue
+            for i, r in _rotated(t, True):
                 w = tamari_vector(r)
                 if any(wi < vi for vi, wi in zip(v, w)) or not w[i - 1] > v[i - 1]:
                     mono_ok = False
-                undone = set()
-                for j in range(1, m + 1):
-                    try:
-                        undone.add(left_rotate(r, j))
-                    except ValueError:
-                        continue
-                if t not in undone:
+                if t not in {u for _, u in _rotated(r, False)}:
                     mono_ok = False
     checks.append(_check(
         f"right rotation strictly raises the pivot coordinate and inverts back "

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import baxter.hopf as hopf
-from baxter import insertion, verify
+from baxter import config, insertion, verify
 from baxter.errors import InternalInvariantError, NotInSubalgebraError
 from baxter.hopf import (
     Element,
@@ -34,13 +34,14 @@ from baxter.hopf import (
     totally_primitive_basis,
 )
 from baxter.insertion import class_of_pair, p_shape
-from baxter.lattice import baxter_leq, enumerate_tbt
+from baxter.lattice import baxter_leq, enumerate_tbt, hasse
 from baxter.trees import (
     canopies_complementary,
     canopy,
     pair_str,
     parse_pair,
     parse_tree,
+    size as tree_size,
     tree_str,
 )
 from baxter.verify import (
@@ -115,6 +116,30 @@ def test_element_drops_zero_coefficients():
     tensor = Element(("F", "F"), {((1,), ()): 0, ((), (1,)): 1})
     assert tensor.terms == {((), (1,)): Fraction(1)}
     assert not Element(("P", "P"), {(J1, J1): 0})
+
+
+def test_element_of_nonzero_int_coefficients_on_distinct_keys_is_kept_as_given():
+    x = Element("P", [(J12, 2), (J21, -1), (J1, 1)])
+    assert x.terms == {J12: 2, J21: -1, J1: 1}
+    assert all(type(c) is int for c in x.terms.values())
+    # any zero, repeat or non-int coefficient takes the normalizing pass
+    assert Element("P", [(J12, 2), (J21, 0)]).terms == {J12: 2}
+    assert Element("P", [(J12, 2), (J12, -2), (J1, 1)]).terms == {J1: 1}
+    y = Element("P", [(J12, Fraction(4, 2)), (J1, True)])
+    assert y.terms == {J12: 2, J1: 1}
+    assert all(type(c) is int for c in y.terms.values())
+
+
+def test_key_degree_is_the_tree_size():
+    for n in range(7):
+        for t in all_trees(n):
+            assert hopf.key_degree("Psylv", t) == tree_size(t) == n
+        for j in enumerate_tbt(n):
+            for basis in ("P", "E", "H", "Pstar"):
+                assert hopf.key_degree(basis, j) == tree_size(j[0]) == n
+    deep = p_shape(tuple(range(1, 3001)))
+    assert hopf.key_degree("P", deep) == 3000
+    assert hopf.key_degree("F", (2, 1, 3)) == 3
 
 
 def test_element_key_shapes():
@@ -754,6 +779,27 @@ for name, args in (("p_product", (j, j)), ("p_coproduct", (j,)),
         "p_product", "p_coproduct", "e_product", "h_product",
         "dual_product", "dual_coproduct"]
     assert all("exceeds PRODUCT_DEGREE_CAP" in line for line in lines)
+
+
+@pytest.mark.parametrize("fn, args, kwargs", [
+    (enumerate_tbt, (5,), {"n": 5}),
+    (hasse, (5,), {"n": 5}),
+    (hopf.order_sum_tables, ("E", 5), {"basis": "E", "n": 5}),
+    (hopf.connected_pairs, (5,), {"n": 5}),
+], ids=["enumerate_tbt", "hasse", "order_sum_tables", "connected_pairs"])
+def test_enumeration_caps_hold_for_answers_cached_under_a_higher_cap(
+        monkeypatch, fn, args, kwargs):
+    monkeypatch.setattr(config, "ENUM_DEGREE_CAP", 4)
+    with pytest.raises(ValueError, match="ENUM_DEGREE_CAP=4"):
+        fn(*args)
+    monkeypatch.setattr(config, "ENUM_DEGREE_CAP", 5)
+    fn(*args)
+    assert fn(*args) is fn(*args)  # cached
+    assert fn(**kwargs) == fn(*args)  # keyword calls as before the cap moved out
+    monkeypatch.setattr(config, "ENUM_DEGREE_CAP", 4)
+    for call in (lambda: fn(*args), lambda: fn(**kwargs)):
+        with pytest.raises(ValueError, match="ENUM_DEGREE_CAP=4"):
+            call()
 
 
 def test_capped_p_product_keeps_its_cache_counters():

@@ -208,6 +208,46 @@ def test_rows_memo_keys_by_value():
         weak_order_join(([1],), ([1],))
 
 
+def _meet_by_complementing_the_intersection(s, t):
+    """The meet as it was first computed: close the complement of the
+    intersection of the two co-inversion row sets, then reverse."""
+    a, b = _rows(tuple(s))[0], _rows(tuple(t))[0]
+    full = (1 << len(a)) - 1
+    rows = tuple(full >> i << i & ~(x & y) for i, (x, y) in enumerate(zip(a, b), 1))
+    return _closed_permutation(rows)[::-1]
+
+
+def test_meet_on_complement_rows_matches_the_intersection_formula():
+    for n in range(6):
+        for s, t in itertools.product(all_perms(n), repeat=2):
+            assert weak_order_meet(s, t) == _meet_by_complementing_the_intersection(s, t)
+
+
+def test_complement_rows_are_the_rows_of_the_reversal():
+    for n in range(6):
+        for s in all_perms(n):
+            assert _rows(s)[1] == _rows(s[::-1])[0]
+
+
+def test_meet_keys_by_value_and_fails_as_the_join_does():
+    for s, t in (((1.0, 2.0), (2, 1)), ((True, 2), (2, 1)), ((2, 1), [2.0, True])):
+        for op in (weak_order_join, weak_order_meet):
+            _rows.cache_clear()
+            cold = op(s, t)
+            assert all(type(v) is int for v in cold)
+            assert op(tuple(map(int, s)), tuple(map(int, t))) == cold
+    for op in (weak_order_join, weak_order_meet):
+        with pytest.raises(ValueError, match=r"not a permutation: \(\[1\],\)"):
+            op(([1],), ([1],))
+        with pytest.raises(ValueError, match=r"not a permutation: \(\[1\],\)"):
+            op((1,), ([1],))
+        # the first argument is checked first
+        with pytest.raises(ValueError, match=r"not a permutation: \(1, 1\)"):
+            op((1, 1), ([1],))
+        with pytest.raises(TypeError):
+            op((1,), 1)
+
+
 def test_rows_memo_is_bounded():
     assert _rows.cache_info().maxsize is not None
 

@@ -3,6 +3,7 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
+from baxter import trees
 from baxter.trees import (
     LNode,
     Node,
@@ -13,6 +14,7 @@ from baxter.trees import (
     complement_canopy,
     graft_over,
     graft_under,
+    infix_edges,
     left_rotate,
     ltree_str,
     pair_str,
@@ -21,6 +23,7 @@ from baxter.trees import (
     parse_tree,
     restricted_trees,
     right_rotate,
+    rotations,
     size,
     tamari_interval,
     tamari_leq,
@@ -265,6 +268,141 @@ def test_tamari_interval_matches_the_order_filter_small():
                 assert got[:1] == ([tree_str(lo)] if tamari_leq(lo, hi) else [])
     with pytest.raises(ValueError, match="sizes differ"):
         tamari_interval(parse_tree("(. .)"), parse_tree("((. .) .)"))
+
+
+def _walked_vector(t):
+    """The rotation vector by the recursive definition, with no memo."""
+    if t is None:
+        return ()
+    left, right = _walked_vector(t.left), _walked_vector(t.right)
+    first = left[0] if left else len(left) + 1
+    return left + (first,) + tuple(x + len(left) + 1 for x in right)
+
+
+def _interval_by_rotating_every_member(lo, hi):
+    """The interval walk that rotates and walks every candidate tree."""
+    if not tamari_leq(lo, hi):
+        return []
+    top = _walked_vector(hi)
+    seen, out = {_walked_vector(lo)}, [lo]
+    for t in out:
+        for p, c in infix_edges(t)[1]:
+            if c < p:
+                u = right_rotate(t, p)
+                v = _walked_vector(u)
+                if v not in seen and all(a <= b for a, b in zip(v, top)):
+                    seen.add(v)
+                    out.append(u)
+    return out
+
+
+def test_tamari_interval_lists_the_members_in_the_rotating_walks_order():
+    pairs = 0
+    for n in range(7):
+        ts = all_trees(n)
+        for lo in ts:
+            for hi in ts:
+                pairs += 1
+                got = list(map(tree_str, tamari_interval(lo, hi)))
+                assert got == list(map(tree_str, _interval_by_rotating_every_member(lo, hi)))
+    assert pairs == 19415
+
+
+def test_tamari_interval_of_deep_combs_at_the_default_recursion_limit():
+    n = 2000
+    left_comb = parse_tree("(" * n + "." + " .)" * n)
+    right_comb = parse_tree("(. " * n + "." + ")" * n)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # CPython's default
+    try:
+        assert tamari_interval(left_comb, left_comb) == [left_comb]
+        assert tamari_interval(right_comb, right_comb) == [right_comb]
+        assert tamari_interval(right_comb, left_comb) == []
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_vector_memo_answers_the_same_cold_and_warm_and_is_bounded():
+    forest = [t for n in range(8) for t in all_trees(n)]  # 626 trees
+    assert len(forest) > trees._VECTOR_MEMO_ENTRIES
+    trees._VECTOR_MEMO.clear()
+    cold = [tamari_vector(t) for t in forest]
+    assert len(trees._VECTOR_MEMO) <= trees._VECTOR_MEMO_ENTRIES
+    warm = [tamari_vector(t) for t in reversed(forest)][::-1]
+    assert cold == warm == [_walked_vector(t) for t in forest]
+    assert len(trees._VECTOR_MEMO) <= trees._VECTOR_MEMO_ENTRIES
+    # a hit answers from the memo: the same tuple object
+    t = forest[-1]
+    assert tamari_vector(t) is tamari_vector(t)
+
+
+def test_vector_memo_skips_trees_above_its_size_bound():
+    bound = trees._VECTOR_MEMO_NODES
+    small = parse_tree("(" * bound + "." + " .)" * bound)
+    big = parse_tree("(" * (bound + 1) + "." + " .)" * (bound + 1))
+    trees._VECTOR_MEMO.clear()
+    assert tamari_vector(big) == (1,) * (bound + 1)
+    assert id(big) not in trees._VECTOR_MEMO
+    assert tamari_vector(small) == (1,) * bound
+    assert trees._VECTOR_MEMO[id(small)][0] is small
+
+
+def test_vector_memo_tells_equal_deep_combs_apart_by_identity(monkeypatch):
+    # ``==`` and ``hash`` on these recurse in C past the default limit,
+    # so the memo must touch neither: it keys by id and checks ``is``.
+    n = 2000
+    text = "(" * n + "." + " .)" * n
+    first, second = parse_tree(text), parse_tree(text)
+    limit = sys.getrecursionlimit()
+    monkeypatch.setattr(trees, "_VECTOR_MEMO_NODES", n)
+    trees._VECTOR_MEMO.clear()
+    sys.setrecursionlimit(1000)  # CPython's default
+    try:
+        for t in (first, second, first, second):
+            assert tamari_vector(t) == (1,) * n
+        assert trees._VECTOR_MEMO[id(first)][0] is first
+        assert trees._VECTOR_MEMO[id(second)][0] is second
+    finally:
+        sys.setrecursionlimit(limit)
+        trees._VECTOR_MEMO.clear()
+
+
+def _rotated_by_sizes(t, i, right):
+    """The rotation at infix index ``i``, found by subtree sizes."""
+    k = size(t.left) + 1
+    if i < k:
+        return Node(_rotated_by_sizes(t.left, i, right), t.right)
+    if i > k:
+        return Node(t.left, _rotated_by_sizes(t.right, i - k, right))
+    if right:
+        return Node(t.left.left, Node(t.left.right, t.right))
+    return Node(Node(t.left, t.right.left), t.right.right)
+
+
+def test_rotations_match_the_rotation_found_by_subtree_sizes():
+    for n in range(7):
+        for t in all_trees(n):
+            for right, rotate in ((True, right_rotate), (False, left_rotate)):
+                pivots = [i for i in range(1, n + 1)
+                          if (_node_at(t, i).left if right else _node_at(t, i).right) is not None]
+                want = [_rotated_by_sizes(t, i, right) for i in pivots]
+                assert rotations(t, pivots, right) == want
+                assert [rotate(t, i) for i in pivots] == want
+                for i in set(range(1, n + 1)) - set(pivots):
+                    side = "left" if right else "right"
+                    with pytest.raises(ValueError, match=f"node {i} has no {side} subtree"):
+                        rotate(t, i)
+                for i in (0, -1, n + 1, 1.0):
+                    with pytest.raises(ValueError, match=f"infix index {i} out of range"):
+                        rotate(t, i)
+                    with pytest.raises(ValueError, match=f"infix index {i} out of range"):
+                        rotations(t, [*pivots, i], right)
+
+
+def _node_at(t, i):
+    """The node at infix index ``i``, found by subtree sizes."""
+    k = size(t.left) + 1
+    return t if i == k else _node_at(t.left, i) if i < k else _node_at(t.right, i - k)
 
 
 @given(words_st)
