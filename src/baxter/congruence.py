@@ -83,16 +83,3 @@ def congruence_class(u, kind: str) -> frozenset:
         frontier = new
     return frozenset(seen)
 
-
-def equivalent(u, v, kind: str) -> bool:
-    """Whether ``u`` and ``v`` are congruent: whether ``v`` lies in the
-    rewriting closure of ``u``, for every kind.
-
-    >>> equivalent((2, 1, 4, 3), (2, 4, 1, 3), "baxter")
-    True
-    """
-    w, x = check_word(u), check_word(v)
-    _check_kind(kind)
-    if sorted(w) != sorted(x):
-        return False
-    return x in congruence_class(w, kind)

@@ -10,8 +10,8 @@ class NotInSubalgebraError(ValueError):
     congruence class, so it cannot be rewritten in a class-sum basis.
 
     ``pair`` holds the offending class key in the target basis: a twin
-    pair of unlabeled trees for ``P``, a single tree for ``Psylv``, and a
-    tuple with one such key per factor for a tensor.
+    pair of unlabeled trees for ``P``, and a tuple with one such key per
+    factor for a tensor.
     """
 
     def __init__(self, message, pair=None):

@@ -3,9 +3,9 @@
 Summing the permutations of each baxter congruence class gives the basis
 ``P`` of a Hopf subalgebra of the permutation algebra, indexed by twin
 pairs, with the order-sum bases ``E`` and ``H`` on top of it.  The
-graded dual carries the quotient basis ``Pstar``.  ``Psylv`` indexes
-class sums of the sylvester congruence (shapes of single right trees),
-which embed via ``rho``.  Every structure constant follows a rule on
+graded dual carries the quotient basis ``Pstar``.  The sylvester class
+sums (shapes of single right trees) embed in P via ``rho``, the sum over
+twin partners.  Every structure constant follows a rule on
 classes: products of class sums walk lattice intervals, the paper's
 rule; the P coproduct cuts the members of a class where both halves are
 least in their classes; the Pstar product and coproduct spread and cut
@@ -25,9 +25,9 @@ Terms are kept in no particular order and are put in canonical (degree,
 key text) order only when printed.
 
 One table, ``_BASES``, names the key kind and the key product of each
-basis.  Every termwise map between bases (``rho_linear`` here, and the
-F and Fstar maps of :mod:`baxter.verify`) is :func:`linear`, the one
-change of basis and the one check of its input's basis.
+basis.  Every termwise map between bases (the F and Fstar maps of
+:mod:`baxter.verify`) is :func:`linear`, the one change of basis and the
+one check of its input's basis.
 
 Only the algebra itself is here.  The brute-force checks of it, the
 generating-series identities among them, are in :mod:`baxter.verify`.
@@ -63,7 +63,6 @@ from .trees import (
     size as tree_size,
     tamari_interval,
     tamari_vector,
-    tree_str,
 )
 from .words import shifted_shuffle, standardize, word_str
 
@@ -76,25 +75,18 @@ _BASES = {
     "E": ("pair", "e_product"),
     "H": ("pair", "h_product"),
     "Pstar": ("pair", "dual_product"),
-    "Psylv": ("tree", "_sylv_key_product"),
 }
 
 
 def key_degree(basis: str, key) -> int:
-    kind = _BASES[basis][0]
-    if kind == "perm":
+    if _BASES[basis][0] == "perm":
         return len(key)
     # a tree's degree is its vector's length: memoized for small trees
-    return len(tamari_vector(key[0] if kind == "pair" else key))
+    return len(tamari_vector(key[0]))
 
 
 def key_str(basis: str, key) -> str:
-    kind = _BASES[basis][0]
-    if kind == "perm":
-        return word_str(key)
-    if kind == "pair":
-        return pair_str(key)
-    return tree_str(key)
+    return word_str(key) if _BASES[basis][0] == "perm" else pair_str(key)
 
 
 def _names(basis):
@@ -239,17 +231,12 @@ class Element:
 
 def one(basis: str) -> Element:
     """The unit element (empty key) of a basis."""
-    kind = _BASES[basis][0]
-    key = () if kind == "perm" else (None, None) if kind == "pair" else None
+    key = () if _BASES[basis][0] == "perm" else (None, None)
     return Element(basis, {key: 1})
 
 
 def p_element(pair, coeff=1) -> Element:
     return Element("P", {check_twin_pair(pair): coeff})
-
-
-def sylv_element(t, coeff=1) -> Element:
-    return Element("Psylv", {t: coeff})
 
 
 def linear(x: Element, source, target, image) -> Element:
@@ -406,26 +393,6 @@ def order_sum_tables(basis: str, n: int):
     return forward, inverse
 
 
-def e_from_p(n: int):
-    """Table expanding each degree-n E basis element in the P basis."""
-    return order_sum_tables("E", n)[0]
-
-
-def h_from_p(n: int):
-    """Table expanding each degree-n H basis element in the P basis."""
-    return order_sum_tables("H", n)[0]
-
-
-def p_from_e(n: int):
-    """Table expanding each degree-n P basis element in the E basis."""
-    return order_sum_tables("E", n)[1]
-
-
-def p_from_h(n: int):
-    """Table expanding each degree-n P basis element in the H basis."""
-    return order_sum_tables("H", n)[1]
-
-
 def e_product(j0, j1) -> Element:
     """Product of two E basis elements: the single graft ``E[pair_over]``."""
     _check_degree("E", j0, j1)
@@ -468,23 +435,13 @@ def connected_pairs(n: int) -> frozenset:
     >>> [len(connected_pairs(k)) for k in range(1, 5)]
     [1, 1, 3, 11]
     """
-    if n == 0:
-        return frozenset()
     return frozenset(
         j for j in enumerate_tbt(n) if is_connected(baxter_representative(j))
     )
 
 
 # ---------------------------------------------------------------------------
-# the sylvester (single right tree) algebra and its embedding
-
-
-def _sylv_key_product(t0, t1) -> Element:
-    """Product of two Psylv basis elements: the sum of Psylv over the
-    rotation interval [``t0 / t1``, ``t0 \\ t1``]."""
-    _check_degree("Psylv", t0, t1)
-    interval = tamari_interval(graft_over(t0, t1), graft_under(t0, t1))
-    return Element("Psylv", {t: 1 for t in interval})
+# the embedding of the sylvester (single right tree) class sums
 
 
 def rho(t) -> Element:
@@ -500,11 +457,6 @@ def rho(t) -> Element:
         return Element("P", {(None, None): 1})
     partners = canopy_class(complement_canopy(canopy(t)))
     return Element("P", {(t2, t): 1 for t2 in partners})
-
-
-def rho_linear(x: Element) -> Element:
-    """Apply ``rho`` linearly to a Psylv element."""
-    return linear(x, "Psylv", "P", lambda t: rho(t).terms.items())
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +553,4 @@ def element_product(x: Element, y: Element) -> Element:
                     coeff *= factor_coeff
                 acc.append((tuple(k for k, _ in combo), coeff))
     return Element(x.basis, acc)
-
-
-tensor_product = element_product
 

@@ -188,14 +188,6 @@ def _greedy_walk(n, covers, pick):
     return tuple(order)
 
 
-def _greedy_extremes(n, covers):
-    """The lexicographically least and greatest linear extensions of the
-    order on 1..n whose covers ``(a, b)`` put a before b: each step places
-    the least (greatest) ready value."""
-    return (_greedy_walk(n, covers, lambda ready, placed: 0),
-            _greedy_walk(n, covers, lambda ready, placed: -1))
-
-
 def _class_order(pair):
     """The order whose linear extensions are ``pair``'s class, on both
     trees' infix labels 1..n: ``(n, covers, right-tree edges)``.  Its
@@ -208,9 +200,12 @@ def _class_order(pair):
 
 @lru_cache(maxsize=4096)  # `bx verify all --max-n 7` asks for 2,620 pairs
 def _extremes(pair):
-    """``(min_perm, max_perm)`` of ``pair``'s class: the greedy extremes of
-    its class order."""
-    return _greedy_extremes(*_class_order(pair)[:2])
+    """``(min_perm, max_perm)`` of ``pair``'s class: the lexicographically
+    least and greatest linear extensions of its class order, whose greedy
+    walks place the least (greatest) ready value at each step."""
+    n, covers, _ = _class_order(pair)
+    return (_greedy_walk(n, covers, lambda ready, placed: 0),
+            _greedy_walk(n, covers, lambda ready, placed: -1))
 
 
 def _interval(lo, hi) -> frozenset:
@@ -239,14 +234,6 @@ def class_of_pair(pair) -> frozenset:
     [(2, 1, 4, 3), (2, 4, 1, 3)]
     """
     return _interval(*_extremes(pair))
-
-
-@lru_cache(maxsize=1024)  # every tree of degree <= 7 (626)
-def sylvester_class_of_tree(t) -> frozenset:
-    """All permutations whose root-insertion (right BST) shape is ``t``:
-    the interval between the greedy extremes of children before parents."""
-    n, edges = infix_edges(t)
-    return _interval(*_greedy_extremes(n, [(c, p) for p, c in edges]))
 
 
 def baxter_representative(pair) -> tuple:

@@ -224,11 +224,15 @@ def is_baxter(sigma) -> bool:
 
 
 def is_connected(sigma) -> bool:
-    """True iff no proper prefix of length k is a permutation of {1..k}.
+    """True iff ``sigma`` is not empty and no proper prefix of length
+    k >= 1 is a permutation of {1..k}: the empty permutation is not
+    connected, as the series 1 - 1/B(z) has no constant term.
 
     >>> is_connected((2, 4, 1, 3))
     True
     >>> is_connected((2, 1, 3))
+    False
+    >>> is_connected(())
     False
     """
     s = check_permutation(sigma)
@@ -237,4 +241,4 @@ def is_connected(sigma) -> bool:
         top = max(top, s[k - 1])
         if top == k:
             return False
-    return True
+    return bool(s)

@@ -8,6 +8,11 @@ Node positions are always the 1-based infix index (left subtree, node,
 right subtree).  Text form: ``.`` for the leaf, ``(L R)`` for a node,
 ``(label L R)`` for a labeled node; a pair of trees prints as
 ``[ T | T' ]``.  Round-trips are bit-exact.
+
+Labeled trees are only parsed and printed here: the insertion of
+:mod:`baxter.insertion` builds its labeled trees from flat arrays, and
+the letter-by-letter oracles that forget labels or split a search tree
+at a letter live in :mod:`baxter.verify`.
 """
 
 from __future__ import annotations
@@ -44,29 +49,8 @@ def size(t) -> int:
     return n
 
 
-# Marks on the stacks of the iterative walks: join the last two finished
-# shapes into a Node (unlabel), and close a node's text (tree_str).
-_JOIN = object()
+# Marks the stack of _text's walk: close a node's text.
 _CLOSE = object()
-
-
-def unlabel(t):
-    """Forget labels, keeping the shape.
-
-    Iterative, so trees of any depth work at the default recursion limit.
-    """
-    done = []  # finished shapes, left before right
-    todo = [t]  # subtrees still to visit, and _JOIN marks
-    while todo:
-        item = todo.pop()
-        if item is _JOIN:
-            right = done.pop()
-            done[-1] = Node(done[-1], right)
-        elif item is None:
-            done.append(None)
-        else:
-            todo += (_JOIN, item.right, item.left)
-    return done[0]
 
 
 # ---------------------------------------------------------------------------
@@ -533,52 +517,3 @@ def canopy_class(c: str) -> tuple:
     for b in reversed(c):
         hi = graft_over(node, hi) if b == "0" else graft_under(node, hi)
     return tuple(tamari_interval(lo, hi))
-
-
-# ---------------------------------------------------------------------------
-# splitting a right binary search tree at a letter
-
-
-def _restrict_le(t, b):
-    # keep nodes with label <= b; a dropped node sheds its right subtree too.
-    # The kept nodes lie on one path; each takes the next kept one as its
-    # new right subtree.
-    kept = []
-    while t is not None:
-        if t.label <= b:
-            kept.append(t)
-            t = t.right
-        else:
-            t = t.left
-    for node in reversed(kept):
-        t = LNode(node.label, node.left, t)
-    return t
-
-
-def _restrict_gt(t, b):
-    # keep nodes with label > b; a dropped node sheds its left subtree too
-    kept = []
-    while t is not None:
-        if t.label > b:
-            kept.append(t)
-            t = t.left
-        else:
-            t = t.right
-    for node in reversed(kept):
-        t = LNode(node.label, t, node.right)
-    return t
-
-
-def restricted_trees(t, b: int):
-    """Split a right binary search tree into its <= b and > b parts.
-
-    Both parts keep the ancestor relations of the original tree.
-    Iterative, so trees of any depth work at the default recursion limit.
-
-    >>> t = parse_labeled_tree("(4 (1 (1 . .) (3 (2 . (3 . .)) .)) (5 . .))")
-    >>> ltree_str(restricted_trees(t, 2)[0])
-    '(1 (1 . .) (2 . .))'
-    >>> ltree_str(restricted_trees(t, 2)[1])
-    '(4 (3 (3 . .) .) (5 . .))'
-    """
-    return _restrict_le(t, b), _restrict_gt(t, b)

@@ -9,12 +9,16 @@ them at the documented bounds.
 
 It is also the one home of the brute-force oracles that the fast paths
 are compared against and never call: the Catalan list of all tree
-shapes, letter-by-letter leaf and root insertion, infix labelling, the
-search-tree predicates, co-inversion sets, the O(n^3) pattern scan, the
-position-set shuffle, the generating-series identities, and the maps
-into and out of the permutation bases ``F`` and ``Fstar`` (class sums
-expanded, multiplied or cut there, and collected back) that the
-class-sum rules of :mod:`baxter.hopf` are checked against.
+shapes, letter-by-letter leaf and root insertion (with the split of a
+search tree at a letter), infix labelling and its inverse ``unlabel``,
+the search-tree predicates, co-inversion sets, the O(n^3) pattern scan,
+the position-set shuffle, the generating-series identities, and the maps
+into and out of the permutation bases ``F`` and ``Fstar`` (P class sums
+expanded, multiplied or cut there, and collected back into P) that the
+class-sum rules of :mod:`baxter.hopf` are checked against.  The
+embedding ``rho`` of the sylvester class sums is checked in P itself:
+the product of two images is the image of the rotation interval between
+the two grafts.
 Only the CLI and the tests import this module, and only this module
 imports the rewrite closure of :mod:`baxter.congruence`.
 
@@ -46,7 +50,6 @@ from .insertion import (
     p_shape,
     p_symbol,
     q_symbol,
-    sylvester_class_of_tree,
 )
 from .lattice import (
     baxter_join,
@@ -73,14 +76,14 @@ from .trees import (
     graft_under,
     infix_edges,
     ltree_str,
+    parse_labeled_tree,
     parse_tree,
-    restricted_trees,
     rotations,
     size as tree_size,
+    tamari_interval,
     tamari_leq,
     tamari_vector,
     tree_str,
-    unlabel,
 )
 from .words import (
     _interleavings,
@@ -195,6 +198,75 @@ def partitions_equal(ids_a, ids_b) -> bool:
 
 # ---------------------------------------------------------------------------
 # brute-force oracles: the paper's definitions, letter by letter
+
+
+# Marks the stack of unlabel's walk: join the last two finished shapes
+# into a Node.
+_JOIN = object()
+
+
+def unlabel(t):
+    """Forget labels, keeping the shape.
+
+    Iterative, so trees of any depth work at the default recursion limit.
+    """
+    done = []  # finished shapes, left before right
+    todo = [t]  # subtrees still to visit, and _JOIN marks
+    while todo:
+        item = todo.pop()
+        if item is _JOIN:
+            right = done.pop()
+            done[-1] = Node(done[-1], right)
+        elif item is None:
+            done.append(None)
+        else:
+            todo += (_JOIN, item.right, item.left)
+    return done[0]
+
+
+def _restrict_le(t, b):
+    # keep nodes with label <= b; a dropped node sheds its right subtree too.
+    # The kept nodes lie on one path; each takes the next kept one as its
+    # new right subtree.
+    kept = []
+    while t is not None:
+        if t.label <= b:
+            kept.append(t)
+            t = t.right
+        else:
+            t = t.left
+    for node in reversed(kept):
+        t = LNode(node.label, node.left, t)
+    return t
+
+
+def _restrict_gt(t, b):
+    # keep nodes with label > b; a dropped node sheds its left subtree too
+    kept = []
+    while t is not None:
+        if t.label > b:
+            kept.append(t)
+            t = t.left
+        else:
+            t = t.right
+    for node in reversed(kept):
+        t = LNode(node.label, t, node.right)
+    return t
+
+
+def restricted_trees(t, b: int):
+    """Split a right binary search tree into its <= b and > b parts.
+
+    Both parts keep the ancestor relations of the original tree.
+    Iterative, so trees of any depth work at the default recursion limit.
+
+    >>> t = parse_labeled_tree("(4 (1 (1 . .) (3 (2 . (3 . .)) .)) (5 . .))")
+    >>> ltree_str(restricted_trees(t, 2)[0])
+    '(1 (1 . .) (2 . .))'
+    >>> ltree_str(restricted_trees(t, 2)[1])
+    '(4 (3 (3 . .) .) (5 . .))'
+    """
+    return _restrict_le(t, b), _restrict_gt(t, b)
 
 
 def leaf_insert(t, a: int, flavor: str):
@@ -430,15 +502,6 @@ def _order_sets(n, leq):
 # the permutation algebra: the F and Fstar expansions that the class-sum
 # rules of ``hopf`` are checked against
 
-# class-sum basis -> names of (the class key of a permutation, the
-# members of a class), resolved at call time so that a wrapper set on
-# this module sees every call
-_CLASSES = {
-    "P": ("p_shape", "class_of_pair"),
-    "Psylv": ("_right_shape", "sylvester_class_of_tree"),
-}
-
-
 def f_element(sigma, coeff=1) -> hopf.Element:
     return hopf.Element("F", {check_permutation(sigma): coeff})
 
@@ -530,63 +593,44 @@ def f_succ(x: hopf.Element, y: hopf.Element) -> hopf.Element:
     return _half_product(x, y, left=False)
 
 
-def _class_sums(basis: str, x: hopf.Element) -> hopf.Element:
-    """Expand an element of a class-sum basis into F, each class sum
-    into the F terms of its members."""
-    members = globals()[_CLASSES[basis][1]]
-    return hopf.linear(x, basis, "F", lambda key: [(s, 1) for s in members(key)])
+def theta(x: hopf.Element) -> hopf.Element:
+    """Expand a P-element into the F basis (the subalgebra inclusion),
+    each class sum into the F terms of its members."""
+    return hopf.linear(x, "P", "F", lambda pair: [(s, 1) for s in class_of_pair(pair)])
 
 
 def p_to_f(pair) -> hopf.Element:
     """Expand P over a twin pair as the class sum of F terms."""
-    return _class_sums("P", hopf.Element("P", {pair: 1}))
+    return theta(hopf.Element("P", {pair: 1}))
 
 
-def theta(x: hopf.Element) -> hopf.Element:
-    """Expand a P-element into the F basis (the subalgebra inclusion)."""
-    return _class_sums("P", x)
+def collect(x: hopf.Element) -> hopf.Element:
+    """Rewrite an F-element, or a tensor of F factors, in P, or raise.
 
-
-def sylv_to_f(t) -> hopf.Element:
-    """Expand the sylvester class sum over a right-tree shape into F."""
-    return _class_sums("Psylv", hopf.sylv_element(t))
-
-
-def _right_shape(s):
-    """The key of the sylvester class of a permutation: its right tree."""
-    return p_shape(s)[1]
-
-
-def collect(x: hopf.Element, basis: str) -> hopf.Element:
-    """Rewrite an F-element, or a tensor of F factors, as class sums, or raise.
-
-    ``basis`` is a class-sum basis of ``_CLASSES``, which maps a
-    permutation to the key of its class and lists the members of a
-    class; on a tensor both act factor by factor and every factor of the
-    result is in ``basis``.  Raises :class:`NotInSubalgebraError`, with
-    ``pair`` set to the offending class key, when some class does not
-    carry a constant coefficient.
+    On a tensor, each factor of a term is collected into the P class of
+    its shape.  Raises :class:`NotInSubalgebraError`, with ``pair`` set to
+    the offending class key, when some class does not carry a constant
+    coefficient.
     """
     tensor = not isinstance(x.basis, str)
     names = hopf._names(x.basis)
     if set(names) != {"F"}:
         raise ValueError("only F-basis elements collect into class sums")
-    shape, members = (globals()[name] for name in _CLASSES[basis])
     remaining = dict(x.terms)
     out = {}
     while remaining:
         s = next(iter(remaining))
         c = remaining[s]
-        keys = tuple(shape(part) for part in (s if tensor else (s,)))
+        keys = tuple(p_shape(part) for part in (s if tensor else (s,)))
         key = keys if tensor else keys[0]
-        for member in itertools.product(*(members(k) for k in keys)):
+        for member in itertools.product(*(class_of_pair(k) for k in keys)):
             if remaining.pop(member if tensor else member[0], None) != c:
-                text = " (x) ".join(hopf.key_str(basis, k) for k in keys)
+                text = " (x) ".join(hopf.key_str("P", k) for k in keys)
                 raise NotInSubalgebraError(
                     f"coefficients not constant on the class of {text}", pair=key
                 )
         out[key] = c
-    return hopf.Element((basis,) * len(names) if tensor else basis, out)
+    return hopf.Element(("P",) * len(names) if tensor else "P", out)
 
 
 def fstar_product(x: hopf.Element, y: hopf.Element) -> hopf.Element:
@@ -1321,9 +1365,10 @@ def hopf_suite(max_n=5):
                         graft_ok = False
                     if hopf.h_product(j0, j1) != hopf.Element("H", {under: 1}):
                         graft_ok = False
-                    for table, graft in ((hopf.e_from_p, over), (hopf.h_from_p, under)):
-                        in_p = hopf.element_product(table(d0)[j0], table(d1)[j1])
-                        if in_p != table(d0 + d1)[graft]:
+                    for basis, graft in (("E", over), ("H", under)):
+                        x0, x1, x01 = (hopf.order_sum_tables(basis, d)[0]
+                                       for d in (d0, d1, d0 + d1))
+                        if hopf.element_product(x0[j0], x1[j1]) != x01[graft]:
                             graft_ok = False
     checks.append(_check(
         f"order-sum bases are multiplicative along grafting (total degree <= {deg})",
@@ -1331,10 +1376,9 @@ def hopf_suite(max_n=5):
 
     tables_ok = True
     for d in range(deg + 1):
-        e_tab, pe_tab = hopf.e_from_p(d), hopf.p_from_e(d)
-        h_tab, ph_tab = hopf.h_from_p(d), hopf.p_from_h(d)
-        for j in pairs[d]:
-            for name, tab, back_tab in (("E", e_tab, pe_tab), ("H", h_tab, ph_tab)):
+        for name in ("E", "H"):
+            tab, back_tab = hopf.order_sum_tables(name, d)
+            for j in pairs[d]:
                 back = hopf.linear(back_tab[j], name, "P", lambda k: tab[k].terms.items())
                 if back != hopf.p_element(j):
                     tables_ok = False
@@ -1359,8 +1403,8 @@ def hopf_suite(max_n=5):
             if full != halves + ends:
                 split_ok = False
             try:
-                collect(f_coproduct_left(x), "P")
-                collect(f_coproduct_right(x), "P")
+                collect(f_coproduct_left(x))
+                collect(f_coproduct_right(x))
             except Exception:  # pragma: no cover - falsifies closure
                 dend_closed_ok = False
     for d0 in range(1, dend_deg):
@@ -1374,8 +1418,8 @@ def hopf_suite(max_n=5):
                     if prec + succ != f_product(x, y):
                         split_ok = False
                     try:
-                        collect(prec, "P")
-                        collect(succ, "P")
+                        collect(prec)
+                        collect(succ)
                     except Exception:  # pragma: no cover - falsifies closure
                         dend_closed_ok = False
     checks.append(_check(
@@ -1465,8 +1509,9 @@ def hopf_suite(max_n=5):
         for b in range(1, mult_deg + 1):
             for t0 in all_trees(a):
                 for t1 in all_trees(b):
-                    lhs = hopf.rho_linear(hopf.element_product(
-                        hopf.sylv_element(t0), hopf.sylv_element(t1)))
+                    interval = tamari_interval(graft_over(t0, t1), graft_under(t0, t1))
+                    lhs = hopf.Element("P", [
+                        term for t in interval for term in hopf.rho(t).terms.items()])
                     rhs = hopf.element_product(hopf.rho(t0), hopf.rho(t1))
                     if lhs != rhs:
                         rho_ok = False

@@ -14,22 +14,19 @@ from fractions import Fraction
 
 from baxter.congruence import congruence_class
 from baxter.hopf import (
+    Element,
     baxter_numbers,
     connected_pairs,
-    e_from_p,
     e_product,
     element_product,
-    h_from_p,
     h_product,
+    order_sum_tables,
     p_coproduct,
     p_element,
     p_product,
     pair_over,
     pair_under,
     rho,
-    rho_linear,
-    sylv_element,
-    tensor_product,
     totally_primitive_basis,
 )
 from baxter.insertion import (
@@ -44,9 +41,11 @@ from baxter.lattice import baxter_join, baxter_leq, baxter_meet, enumerate_tbt
 from baxter.perms import inverse, is_baxter
 from baxter.trees import (
     canopy,
+    graft_over,
+    graft_under,
     right_rotate,
+    tamari_interval,
     tamari_leq,
-    unlabel,
 )
 from baxter.verify import (
     all_trees,
@@ -57,6 +56,7 @@ from baxter.verify import (
     partitions_equal,
     phi_psi_theta,
     root_insert,
+    unlabel,
     words_up_to,
 )
 
@@ -234,7 +234,7 @@ def test_criterion_09_hopf_closure():
                     for key, coeff in prod.terms.items():
                         part = coeff * p_coproduct(key)
                         lhs = part if lhs is None else lhs + part
-                    rhs = tensor_product(p_coproduct(j0), p_coproduct(j1))
+                    rhs = element_product(p_coproduct(j0), p_coproduct(j1))
                     assert lhs.terms == rhs.terms, (j0, j1)
     for n in range(7):
         for pair in degrees[n]:
@@ -265,10 +265,9 @@ def test_criterion_10_order_sum_bases_multiply_by_grafting():
                     over, under = pair_over(j0, j1), pair_under(j0, j1)
                     assert e_product(j0, j1).terms == {over: Fraction(1)}
                     assert h_product(j0, j1).terms == {under: Fraction(1)}
-                    got = element_product(e_from_p(a)[j0], e_from_p(b)[j1])
-                    assert got == e_from_p(a + b)[over]
-                    got = element_product(h_from_p(a)[j0], h_from_p(b)[j1])
-                    assert got == h_from_p(a + b)[under]
+                    for basis, graft in (("E", over), ("H", under)):
+                        x0, x1, x01 = (order_sum_tables(basis, d)[0] for d in (a, b, a + b))
+                        assert element_product(x0[j0], x1[j1]) == x01[graft]
     report(10, "E- and H-basis products are single grafted terms "
                "(total degree <= 6)")
 
@@ -350,8 +349,10 @@ def test_criterion_14_tree_class_embedding():
         for b in range(1, 4):
             for t0 in all_trees(a):
                 for t1 in all_trees(b):
-                    x0, x1 = sylv_element(t0), sylv_element(t1)
-                    before = rho_linear(element_product(x0, x1))
+                    # the sylvester product of t0 and t1 is the rotation
+                    # interval between their grafts
+                    interval = tamari_interval(graft_over(t0, t1), graft_under(t0, t1))
+                    before = sum((rho(t) for t in interval), Element("P"))
                     after = element_product(rho(t0), rho(t1))
                     assert before == after, (t0, t1)
     report(14, "the tree-class embedding is injective (size <= 4) and "

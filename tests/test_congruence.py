@@ -1,6 +1,6 @@
 import itertools
 
-from baxter.congruence import KINDS, adjacent_rewrites, congruence_class, equivalent
+from baxter.congruence import KINDS, adjacent_rewrites, congruence_class
 
 
 def all_perms(n):
@@ -53,10 +53,10 @@ def test_equivalent_words_share_letters():
 
 
 def test_equivalent_on_words_with_repeats():
-    assert equivalent((1, 2, 1), (2, 1, 1), "sylvester")
-    assert not equivalent((1, 2, 1), (1, 1, 2), "sylvester")
-    assert equivalent((2, 1, 2), (2, 2, 1), "sylvester_sharp")
-    assert equivalent((5, 4, 2, 5, 4, 2, 4), (5, 4, 5, 2, 4, 2, 4), "baxter")
+    assert (2, 1, 1) in congruence_class((1, 2, 1), "sylvester")
+    assert (1, 1, 2) not in congruence_class((1, 2, 1), "sylvester")
+    assert (2, 2, 1) in congruence_class((2, 1, 2), "sylvester_sharp")
+    assert (5, 4, 5, 2, 4, 2, 4) in congruence_class((5, 4, 2, 5, 4, 2, 4), "baxter")
 
 
 def test_degenerate_words():

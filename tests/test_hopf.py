@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 import baxter.hopf as hopf
-from baxter import config, insertion, verify
+from baxter import config, verify
+from baxter.congruence import congruence_class
 from baxter.errors import InternalInvariantError, NotInSubalgebraError
 from baxter.hopf import (
     Element,
@@ -15,22 +16,16 @@ from baxter.hopf import (
     connected_pairs,
     dual_coproduct,
     dual_product,
-    e_from_p,
     e_product,
     element_product,
-    h_from_p,
     h_product,
     one,
     p_coproduct,
     p_element,
-    p_from_e,
-    p_from_h,
     p_product,
     pair_over,
     pair_under,
     rho,
-    rho_linear,
-    sylv_element,
     totally_primitive_basis,
 )
 from baxter.insertion import class_of_pair, p_shape
@@ -38,10 +33,13 @@ from baxter.lattice import baxter_leq, enumerate_tbt, hasse
 from baxter.trees import (
     canopies_complementary,
     canopy,
+    graft_over,
+    graft_under,
     pair_str,
     parse_pair,
     parse_tree,
     size as tree_size,
+    tamari_interval,
     tree_str,
 )
 from baxter.verify import (
@@ -61,7 +59,6 @@ from baxter.verify import (
     phi,
     phi_psi_theta,
     psi,
-    sylv_to_f,
     theta,
 )
 
@@ -131,9 +128,9 @@ def test_element_of_nonzero_int_coefficients_on_distinct_keys_is_kept_as_given()
 
 
 def test_key_degree_is_the_tree_size():
+    assert len(hopf._BASES) == 6
+    assert {kind for kind, _ in hopf._BASES.values()} == {"perm", "pair"}
     for n in range(7):
-        for t in all_trees(n):
-            assert hopf.key_degree("Psylv", t) == tree_size(t) == n
         for j in enumerate_tbt(n):
             for basis in ("P", "E", "H", "Pstar"):
                 assert hopf.key_degree(basis, j) == tree_size(j[0]) == n
@@ -235,27 +232,22 @@ def test_theta_is_the_subalgebra_inclusion():
 
 def test_f_collect_to_p_accepts_class_sums():
     x = f_element((2, 1, 4, 3)) + f_element((2, 4, 1, 3))
-    assert collect(x, "P") == p_element(J2143)
+    assert collect(x) == p_element(J2143)
 
 
 def test_f_collect_to_p_rejects_partial_sums():
     with pytest.raises(NotInSubalgebraError) as info:
-        collect(f_element((2, 1, 4, 3)), "P")
+        collect(f_element((2, 1, 4, 3)))
     assert info.value.pair == J2143
 
 
 def test_collect_names_the_offending_class_on_every_path():
     tensor = Element(("F", "F"), {((2, 1, 4, 3), (1,)): 1, ((2, 4, 1, 3), (1,)): 2})
     with pytest.raises(NotInSubalgebraError) as info:
-        collect(tensor, "P")
+        collect(tensor)
     assert info.value.pair == (J2143, J1)
     whole = Element(("F", "F"), {((2, 1, 4, 3), (1,)): 3, ((2, 4, 1, 3), (1,)): 3})
-    assert collect(whole, "P") == Element(("P", "P"), {(J2143, J1): 3})
-    t = parse_tree("((. .) (. .))")
-    with pytest.raises(NotInSubalgebraError) as info:
-        collect(f_element((1, 3, 2)), "Psylv")
-    assert info.value.pair == t
-    assert collect(sylv_to_f(t), "Psylv") == sylv_element(t)
+    assert collect(whole) == Element(("P", "P"), {(J2143, J1): 3})
 
 
 def test_p_product_worked_example():
@@ -317,7 +309,7 @@ def test_element_product_calls_the_module_p_product(monkeypatch):
 
 @pytest.mark.parametrize("fn, source, target", [
     (theta, "P", "F"),
-    (rho_linear, "Psylv", "P"),
+    (phi_psi_theta, "P", "Pstar"),
     (phi, "Fstar", "Pstar"),
     (psi, "F", "Fstar"),
     (f_coproduct, "F", ("F", "F")),
@@ -341,21 +333,15 @@ def test_linear_multiplies_coefficients():
 
 
 def test_products_compute_without_classes_or_collect(monkeypatch):
-    t = parse_tree("((. .) (. .))")
-    expected = {
-        "P": collect(f_product(theta(p_element(J2143)), theta(p_element(J21))), "P"),
-        "Psylv": collect(f_product(sylv_to_f(t), sylv_to_f(t)), "Psylv"),
-    }
+    expected = collect(f_product(theta(p_element(J2143)), theta(p_element(J21))))
 
     def refuse(*args):
         raise AssertionError("a product expanded or collected a class")
 
     monkeypatch.setattr(hopf, "class_of_pair", refuse)
-    monkeypatch.setattr(insertion, "sylvester_class_of_tree", refuse)
     p_product.cache_clear()
     try:
-        assert p_product(J2143, J21) == expected["P"]
-        assert element_product(sylv_element(t), sylv_element(t)) == expected["Psylv"]
+        assert p_product(J2143, J21) == expected
     finally:
         p_product.cache_clear()
 
@@ -369,24 +355,30 @@ def test_p_product_matches_the_f_route_to_total_degree_6():
     pairs = _pairs_to_total_degree(enumerate_tbt, 6)
     assert len(pairs) == 1488
     for j0, j1 in pairs:
-        via_f = collect(f_product(theta(p_element(j0)), theta(p_element(j1))), "P")
+        via_f = collect(f_product(theta(p_element(j0)), theta(p_element(j1))))
         assert p_product(j0, j1) == via_f, (pair_str(j0), pair_str(j1))
 
 
-def test_psylv_product_matches_the_f_route_to_total_degree_6():
+def _rho_of_interval(t0, t1):
+    """The sum of ``rho`` over the rotation interval between the grafts
+    ``t0 / t1`` and ``t0 \\ t1``: the image of the sylvester product."""
+    interval = tamari_interval(graft_over(t0, t1), graft_under(t0, t1))
+    return Element("P", [term for t in interval for term in rho(t).terms.items()])
+
+
+def test_rho_products_match_the_f_route_to_total_degree_6():
     pairs = _pairs_to_total_degree(all_trees, 6)
     assert len(pairs) == 625
     for t0, t1 in pairs:
-        via_f = collect(f_product(sylv_to_f(t0), sylv_to_f(t1)), "Psylv")
-        assert element_product(sylv_element(t0), sylv_element(t1)) == via_f, (
-            tree_str(t0), tree_str(t1))
+        via_f = f_product(theta(rho(t0)), theta(rho(t1)))
+        assert theta(_rho_of_interval(t0, t1)) == via_f, (tree_str(t0), tree_str(t1))
 
 
 def test_p_coproduct_matches_the_f_route_to_degree_6():
     pairs = [j for n in range(7) for j in enumerate_tbt(n)]
     assert len(pairs) == 546
     for j in pairs:
-        via_f = collect(f_coproduct(theta(p_element(j))), "P")
+        via_f = collect(f_coproduct(theta(p_element(j))))
         assert p_coproduct(j) == via_f, pair_str(j)
 
 
@@ -492,7 +484,7 @@ def test_element_coefficients_are_in_exact_normal_form():
     images = [
         hopf.linear(half, "P", "P", lambda j: [(j, Fraction(4)), (J1, third)]),
         theta(half), f_coproduct(theta(3 * p_element(J21))),
-        collect(theta(half), "P"), collect(f_coproduct(p_to_f(J21)), "P"),
+        collect(theta(half)), collect(f_coproduct(p_to_f(J21))),
     ]
     assert images[0].terms == {J21: 2, J1: Fraction(1, 6)}
     assert images[3] == half
@@ -519,15 +511,15 @@ def test_elements_are_equal_across_int_and_fraction_coefficients():
     members = sorted(class_of_pair(j))
     assert len(members) == 2
     x = Element("F", {members[0]: Fraction(2), members[1]: 2})
-    assert collect(x, "P") == Element("P", {j: 2})
+    assert collect(x) == Element("P", {j: 2})
     tensor = Element(("F", "F"), {(members[0], (1,)): Fraction(1), (members[1], (1,)): 1})
-    assert collect(tensor, "P") == Element(("P", "P"), {(j, J1): 1})
+    assert collect(tensor) == Element(("P", "P"), {(j, J1): 1})
 
 
 def test_order_sum_bases_round_trip():
     for n in range(4):
-        e_table, p_table = e_from_p(n), p_from_e(n)
-        h_table, ph_table = h_from_p(n), p_from_h(n)
+        e_table, p_table = hopf.order_sum_tables("E", n)
+        h_table, ph_table = hopf.order_sum_tables("H", n)
         for pair in enumerate_tbt(n):
             back = Element("P")
             for key, coeff in p_table[pair].terms.items():
@@ -542,7 +534,7 @@ def test_order_sum_bases_round_trip():
 def test_order_sum_tables_sum_over_upper_and_lower_sets():
     for n in range(5):
         pairs = enumerate_tbt(n)
-        e_table, h_table = e_from_p(n), h_from_p(n)
+        e_table, h_table = (hopf.order_sum_tables(basis, n)[0] for basis in "EH")
         for j in pairs:
             assert e_table[j] == Element(
                 "P", {j2: 1 for j2 in pairs if baxter_leq(j, j2)})
@@ -608,9 +600,19 @@ def test_connected_pair_counts():
 
 
 def test_sylv_to_f_sums_the_sylvester_class():
-    t = parse_tree("((. .) (. .))")
-    got = sylv_to_f(t)
+    got = theta(rho(parse_tree("((. .) (. .))")))
     assert got.terms == {(1, 3, 2): Fraction(1), (3, 1, 2): Fraction(1)}
+
+
+def test_rho_in_f_sums_the_sylvester_class():
+    seen = set()
+    for n in range(6):
+        for p in verify.all_perms(n):
+            t = p_shape(p)[1]
+            want = Element("F", {s: 1 for s in congruence_class(p, "sylvester")})
+            assert theta(rho(t)) == want, p
+            seen.add(t)
+    assert len(seen) == sum(len(all_trees(n)) for n in range(6))
 
 
 def test_rho_sums_twin_partners():
@@ -637,10 +639,10 @@ def test_rho_is_capped_by_the_enumeration_degree():
 
 
 def test_rho_linear_is_multiplicative_in_low_degree():
-    x = sylv_element(parse_tree("(. .)"))
-    prod_after = element_product(rho_linear(x), rho_linear(x))
-    prod_before = rho_linear(element_product(x, x))
-    assert prod_after == prod_before
+    t = parse_tree("(. .)")
+    prod_after = element_product(rho(t), rho(t))
+    assert prod_after == _rho_of_interval(t, t)
+    assert len(prod_after.terms) == 2
 
 
 def test_fstar_product_arranges_value_subsets():

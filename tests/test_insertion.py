@@ -16,18 +16,17 @@ from baxter.insertion import (
     p_shape,
     p_symbol,
     q_symbol,
-    sylvester_class_of_tree,
 )
 from baxter.perms import is_baxter, permutohedron_leq
 from baxter.trees import (
     Node,
+    canopies_complementary,
     canopy,
     canopy_class,
     infix_edges,
     ltree_str,
     pair_str,
     tree_str,
-    unlabel,
 )
 from baxter.verify import (
     all_trees,
@@ -35,6 +34,7 @@ from baxter.verify import (
     is_decreasing,
     leaf_insert,
     root_insert,
+    unlabel,
 )
 
 
@@ -205,9 +205,22 @@ def test_extremes_meet_join_and_duals_never_enumerate_a_class(monkeypatch):
 
 
 def test_class_caches_are_bounded():
-    for cached in (insertion._extremes, class_of_pair, sylvester_class_of_tree,
-                   p_shape, canopy_class):
+    for cached in (insertion._extremes, class_of_pair, p_shape, canopy_class):
         assert cached.cache_info().maxsize is not None
+
+
+def test_sylvester_class_of_tree():
+    # the sylvester class of a right tree is the union of the baxter
+    # classes of its twin pairs, one for each canopy-complementary left tree
+    for n in range(1, 6):
+        for right in all_trees(n):
+            union = set()
+            for left in all_trees(n):
+                if canopies_complementary(canopy(left), canopy(right)):
+                    union |= class_of_pair((left, right))
+            p = min(union)
+            assert p_shape(p)[1] == right
+            assert union == congruence_class(p, "sylvester")
 
 
 def test_baxter_representative_is_the_unique_baxter_member():
@@ -218,16 +231,6 @@ def test_baxter_representative_is_the_unique_baxter_member():
         assert rep in cls
         assert is_baxter(rep)
         assert sum(1 for q in cls if is_baxter(q)) == 1
-
-
-def test_sylvester_class_of_tree():
-    _, right = p_shape((1, 3, 2))
-    got = sylvester_class_of_tree(right)
-    assert got == frozenset(congruence_class((1, 3, 2), "sylvester"))
-    for p in all_perms(4):
-        _, right = p_shape(p)
-        assert sylvester_class_of_tree(right) == frozenset(
-            congruence_class(p, "sylvester"))
 
 
 def test_p_symbol_equality_is_class_membership_on_words():
@@ -334,7 +337,6 @@ def test_deep_words_need_no_raised_recursion_limit():
         pair = p_shape(up)
         assert (canopy(pair[0]), canopy(pair[1])) == ("1" * (n - 1), "0" * (n - 1))
         assert class_of_pair(pair) == frozenset({up})
-        assert sylvester_class_of_tree(pair[1]) == frozenset({up})
 
         left, right = p_symbol(down)
         assert ltree_str(left) == _left_comb(down)

@@ -25,16 +25,21 @@ MOVED = {
     "_is_baxter_scan", "series_check", "_series_mul", "_series_inv",
     "_position_shuffle", "f_product", "f_coproduct", "f_coproduct_left",
     "f_coproduct_right", "_deconcatenate", "_after_max", "f_prec", "f_succ",
-    "_half_product", "collect", "_CLASSES", "_class_sums", "_right_shape",
-    "theta", "p_to_f", "sylv_to_f", "fstar_product", "fstar_coproduct", "phi",
-    "psi", "phi_psi_theta", "f_element", "fstar_element", "all_trees",
+    "_half_product", "collect", "theta", "p_to_f", "fstar_product",
+    "fstar_coproduct", "phi", "psi", "phi_psi_theta", "f_element",
+    "fstar_element", "all_trees", "unlabel", "_JOIN", "restricted_trees",
+    "_restrict_le", "_restrict_gt",
 }
 # Defined nowhere in the package.
 DELETED = {
     "perm_over", "perm_under", "SeriesReport", "f_collect_to_p",
-    "f_collect_to_sylv", "LEAF", "Word", "trees_by_canopy",
+    "f_collect_to_sylv", "LEAF", "Word", "trees_by_canopy", "_CLASSES",
+    "_class_sums", "_right_shape", "sylv_to_f", "sylv_element",
+    "_sylv_key_product", "rho_linear", "sylvester_class_of_tree", "e_from_p",
+    "h_from_p", "p_from_e", "p_from_h", "tensor_product", "equivalent",
+    "_greedy_extremes",
 }
-ORACLES = MOVED | {"adjacent_rewrites", "congruence_class", "equivalent"}
+ORACLES = MOVED | {"adjacent_rewrites", "congruence_class"}
 
 
 def _sources():

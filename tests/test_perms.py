@@ -299,6 +299,7 @@ def test_baxter_is_closed_under_inverse_and_reverse():
 
 
 def test_is_connected():
+    assert is_connected(()) is False
     assert is_connected((1,))
     assert is_connected((2, 1))
     assert is_connected((1, 2)) is False

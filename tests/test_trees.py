@@ -21,7 +21,6 @@ from baxter.trees import (
     parse_labeled_tree,
     parse_pair,
     parse_tree,
-    restricted_trees,
     right_rotate,
     rotations,
     size,
@@ -29,7 +28,6 @@ from baxter.trees import (
     tamari_leq,
     tamari_vector,
     tree_str,
-    unlabel,
 )
 from baxter.verify import (
     all_trees,
@@ -38,7 +36,9 @@ from baxter.verify import (
     is_left_bst,
     is_right_bst,
     leaf_insert,
+    restricted_trees,
     root_insert,
+    unlabel,
 )
 
 words_st = st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=8)
