@@ -38,7 +38,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
-from operator import or_
+from operator import eq, ne, or_
 
 from . import config
 from .errors import InternalInvariantError
@@ -54,6 +54,7 @@ from .insertion import (
 from .lattice import enumerate_tbt, hasse, positions
 from .perms import is_connected
 from .trees import (
+    _rotation_interval,
     canopy,
     canopy_class,
     complement_canopy,
@@ -61,7 +62,6 @@ from .trees import (
     graft_under,
     pair_str,
     size as tree_size,
-    tamari_interval,
     tamari_vector,
 )
 from .words import shifted_shuffle, standardize, word_str
@@ -309,10 +309,19 @@ def p_product(j0, j1) -> Element:
     if right_lo is None:
         return one("P")
     rights = {}
-    for right in tamari_interval(right_lo, right_hi):
-        rights.setdefault(canopy(right), []).append(right)
-    return Element("P", {(left, right): 1 for left in tamari_interval(left_lo, left_hi)
-                         for right in rights.get(complement_canopy(canopy(left)), ())})
+    for right, v in zip(*_rotation_interval(right_lo, right_hi)):
+        rights.setdefault(_canopy_key(v, eq), []).append(right)
+    return Element("P", {(left, right): 1
+                         for left, v in zip(*_rotation_interval(left_lo, left_hi))
+                         for right in rights.get(_canopy_key(v, ne), ())})
+
+
+def _canopy_key(v, test):
+    """The canopy of the tree of rotation vector ``v`` with ``test=eq``,
+    its complement with ``test=ne``, as a tuple of bools.  Bit k is 1
+    (True) when node k + 2, in infix order from 1, has no left child:
+    when its subtree starts at itself, ``v[k + 1] == k + 2``."""
+    return tuple(map(test, v[1:], range(2, len(v) + 1)))
 
 
 def _least_cuts(j):

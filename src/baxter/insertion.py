@@ -11,7 +11,9 @@ equal size, complementary canopies.
 A twin pair here is a plain ``(left_shape, right_shape)`` tuple of
 unlabeled trees.  :func:`p_shape` builds it from the same insertion
 arrays as :func:`p_symbol`, without labeling and then unlabeling a
-second copy.
+second copy.  It builds each distinct subtree of the pair once, so equal
+subtrees of a shape are one object; trees are values all the same, and
+subtrees compare by value, never by identity.
 
 A class, the permutations of one P-symbol shape, is the weak-order interval
 between its greedy extremes; :func:`class_of_pair` walks it at O(n) per cover.
@@ -64,20 +66,38 @@ def _leaf_insertion(w, steps):
     return left, right
 
 
-def _freeze(steps, children, labels):
+def _freeze(steps, children, labels, shapes=None):
     """Build the tree from child arrays, children before parents (a child
     is always inserted after its parent): ``LNode``s labeled by
-    ``labels``, or unlabeled ``Node``s when ``labels`` is None."""
+    ``labels``, or unlabeled ``Node``s when ``labels`` is None.
+
+    Unlabeled trees are hash-consed through ``shapes``: a list of the
+    distinct subtrees built so far, headed by ``None``, and a dict from
+    the list indices of a subtree's two children to its own.  A node is made
+    only when no equal subtree was made before, so equal subtrees are one
+    object, also across the two trees of a pair that share ``shapes``.
+    The keys are small ints, so a lookup never hashes a tree.
+    """
     left, right = children
-    built = [None] * (len(left) + 1)
     # ``tuple.__new__`` skips the NamedTuple constructor's Python frame
     new = tuple.__new__
     if labels is None:
+        nodes, numbers = shapes
+        put = numbers.setdefault
+        scale = 2 * len(left) + 1  # above every index of a pair's subtrees
+        index = [0] * (len(left) + 1)  # by position; the end mark is None
+        fresh = len(nodes)  # the index of the next new subtree
         for i in reversed(steps):
-            built[i] = new(Node, (built[left[i]], built[right[i]]))
-    else:
-        for i in reversed(steps):
-            built[i] = new(LNode, (labels[i], built[left[i]], built[right[i]]))
+            a, b = index[left[i]], index[right[i]]
+            k = put(a * scale + b, fresh)
+            if k == fresh:
+                nodes.append(new(Node, (nodes[a], nodes[b])))
+                fresh += 1
+            index[i] = k
+        return nodes[index[steps[0]]] if steps else None
+    built = [None] * (len(left) + 1)
+    for i in reversed(steps):
+        built[i] = new(LNode, (labels[i], built[left[i]], built[right[i]]))
     return built[steps[0]] if steps else None
 
 
@@ -93,10 +113,14 @@ def _insertion_passes(w):
 
 
 def _twin_trees(w, labels):
-    """The two trees of the checked word ``w``, from its insertion passes."""
+    """The two trees of the checked word ``w``, from its insertion passes.
+    Unlabeled, they share one table (:func:`_freeze`), which is dropped on
+    return: it has one entry per distinct subtree, at most ``2 * len(w)``."""
     forward = range(len(w))
     left, right = _insertion_passes(w)
-    return _freeze(forward, left, labels), _freeze(forward[::-1], right, labels)
+    shapes = None if labels is not None else ([None], {})
+    return (_freeze(forward, left, labels, shapes),
+            _freeze(forward[::-1], right, labels, shapes))
 
 
 def p_symbol(u):
@@ -156,15 +180,34 @@ def check_twin_pair(pair):
 
 
 @lru_cache(maxsize=8192)  # `bx verify insertion --max-n 7` asks for 5,913 words
-def p_shape(u):
-    """Unlabeled shape of the P-symbol of ``u`` (cached), checked to be a
-    twin pair; from the same insertion passes as :func:`p_symbol`."""
-    out = _twin_trees(check_word(u), None)
+def _shape(w):
+    """The twin pair of the checked word ``w``, checked to be one."""
+    out = _twin_trees(w, None)
     if not is_twin_pair(out):
         raise InternalInvariantError(
             f"insertion produced non-complementary canopies: {pair_str(out)}"
         )
     return out
+
+
+def p_shape(u):
+    """Unlabeled shape of the P-symbol of ``u``, a twin pair, from the
+    same insertion passes as :func:`p_symbol`.
+
+    ``u`` is checked before the cache is looked up, on hits too, and the
+    cache is keyed by the checked word: ``(True, 2)`` raises
+    ``ValueError`` even once ``(1, 2)`` is cached, and a list finds the
+    entry of its tuple.  The two trees share their equal subtrees (each
+    is built once), so a cached pair keeps one node per distinct subtree.
+    Subtrees compare by value (``==``), never by identity.
+
+    >>> p_shape([2, 1]) == p_shape((2, 1))
+    True
+    """
+    return _shape(check_word(u))
+
+
+p_shape.cache_info, p_shape.cache_clear = _shape.cache_info, _shape.cache_clear
 
 
 def _greedy_walk(n, covers, pick):

@@ -389,18 +389,22 @@ def canopy(t) -> str:
         node = node.right
 
 
+_FLIP = str.maketrans("01", "10")
+
+
 def complement_canopy(c: str) -> str:
     """Flip every bit.
 
     >>> complement_canopy("0100101")
     '1011010'
     """
-    return "".join("1" if b == "0" else "0" for b in c)
+    return c.translate(_FLIP)
 
 
 def canopies_complementary(c0: str, c1: str) -> bool:
-    """True iff the words have equal length and differ in every position."""
-    return len(c0) == len(c1) and all(a != b for a, b in zip(c0, c1))
+    """True iff the canopy words have equal length and differ in every
+    position: ``c1`` is ``c0`` with every bit flipped."""
+    return c1 == c0.translate(_FLIP)
 
 
 # Rotation vectors of small trees, by object identity: id(t) -> (t, vector).
@@ -479,8 +483,14 @@ def tamari_interval(lo, hi) -> list:
     >>> [tree_str(t) for t in tamari_interval(parse_tree("((. .) .)"), parse_tree("(. (. .))"))]
     ['((. .) .)', '(. (. .))']
     """
+    return _rotation_interval(lo, hi)[0]
+
+
+def _rotation_interval(lo, hi):
+    """``(members, vectors)``: the trees of :func:`tamari_interval` and
+    their rotation vectors, in the same order."""
     if not tamari_leq(lo, hi):
-        return []
+        return [], []
     top = tamari_vector(hi)
     vectors = [tamari_vector(lo)]
     seen, out = set(vectors), [lo]
@@ -496,7 +506,7 @@ def tamari_interval(lo, hi) -> list:
                     pivots.append(p)
         if pivots:
             out += _rotate_at(t, _parent_links(n, edges), pivots, True)
-    return out
+    return out, vectors
 
 
 @lru_cache(maxsize=256)  # every canopy word of degree <= 8 (255)

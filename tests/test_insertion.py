@@ -1,4 +1,5 @@
 import itertools
+import random
 import sys
 
 import pytest
@@ -26,6 +27,7 @@ from baxter.trees import (
     infix_edges,
     ltree_str,
     pair_str,
+    tamari_vector,
     tree_str,
 )
 from baxter.verify import (
@@ -293,7 +295,7 @@ def test_symbols_match_single_step_insertions_exhaustively():
         left, right, q = folded_symbols(w)
         assert (*p_symbol(w), q_symbol(w)) == (left, right, q), w
         # the uncached function, so the cache does not keep every word
-        assert p_shape.__wrapped__(w) == (unlabel(left), unlabel(right)), w
+        assert insertion._shape.__wrapped__(w) == (unlabel(left), unlabel(right)), w
 
 
 @st.composite
@@ -311,7 +313,7 @@ def test_symbols_match_single_step_insertions_on_long_words(w):
     got = (*p_symbol(w), q_symbol(w))
     folded = folded_symbols(w)
     assert list(map(ltree_str, got)) == list(map(ltree_str, folded))
-    shape = p_shape.__wrapped__(w)
+    shape = insertion._shape.__wrapped__(tuple(w))
     assert list(map(tree_str, shape)) == [tree_str(unlabel(t)) for t in folded[:2]]
 
 
@@ -348,6 +350,85 @@ def test_deep_words_need_no_raised_recursion_limit():
         assert class_of_pair(pair) == frozenset({down})
     finally:
         sys.setrecursionlimit(limit)
+
+
+def test_p_shape_checks_the_word_before_its_cache():
+    p_shape((1, 2))
+    for bad in ((True, 2), (1.0, 2.0)):
+        with pytest.raises(ValueError):
+            p_shape(bad)
+    assert p_shape([2, 1]) == p_shape((2, 1))
+
+
+def _nodes(pair):
+    """The distinct node objects of a pair, by identity."""
+    seen = {}
+    todo = list(pair)
+    while todo:
+        t = todo.pop()
+        if t is not None and id(t) not in seen:
+            seen[id(t)] = t
+            todo += (t.left, t.right)
+    return list(seen.values())
+
+
+def _same_shapes(got, want):
+    # by text and vector: ``==`` recurses in C on deep trees
+    return ([tree_str(t) for t in got] == [tree_str(t) for t in want]
+            and [tamari_vector(t) for t in got] == [tamari_vector(t) for t in want])
+
+
+def test_p_shape_shares_equal_subtrees():
+    rng = random.Random(22)
+    words = []
+    for n in (0, 1, 2, 5, 30, 300, 2000):
+        words.append(tuple(rng.sample(range(1, n + 1), n)))
+        words.append(tuple(rng.randint(1, max(1, n // 5)) for _ in range(n)))
+    for w in words:
+        pair = insertion._shape.__wrapped__(w)
+        # the unshared build: one node per letter in each tree
+        assert _same_shapes(pair, tuple(map(unlabel, p_symbol(w)))), w
+        # no two distinct node objects of the pair are equal
+        nodes = _nodes(pair)
+        assert len({tree_str(t) for t in nodes}) == len(nodes), w
+
+
+def test_p_shape_shares_subtrees_of_deep_combs_at_the_default_limit():
+    n = 20000
+    up = tuple(range(1, n + 1))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # CPython's default
+    try:
+        for w in (up, up[::-1]):
+            pair = insertion._shape.__wrapped__(w)
+            assert _same_shapes(pair, tuple(map(unlabel, p_symbol(w))))
+            # a left and a right comb of each size, sharing only the leaf
+            assert len(_nodes(pair)) == 2 * n - 1
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def _lcg_word():
+    """A 6,000-letter word made with integer steps only, so it is the
+    same on every Python: a permutation of 1..3000 (sorted by 3,000
+    steps) followed by 3,000 letters in 1..600."""
+    x = 7
+
+    def step():
+        nonlocal x
+        x = (x * 1103515245 + 12345) % 2**31
+        return x
+
+    keys = [step() for _ in range(3000)]
+    perm = sorted(range(1, 3001), key=lambda v: keys[v - 1])
+    return tuple(perm) + tuple(step() % 600 + 1 for _ in range(3000))
+
+
+def test_a_long_word_keeps_at_most_one_node_per_letter():
+    w = _lcg_word()
+    pair = insertion._shape.__wrapped__(w)
+    assert _same_shapes(pair, tuple(map(unlabel, p_symbol(w))))
+    assert len(_nodes(pair)) <= len(w)  # an unshared pair has 2 * len(w)
 
 
 def _labeled_edges(t):
