@@ -13,7 +13,6 @@ import json
 import sys
 from functools import lru_cache
 
-from . import verify as verify_mod
 from .errors import InternalInvariantError
 from .exactlin import rational_str
 from .hopf import (
@@ -178,7 +177,10 @@ def cmd_primitives(args):
 
 
 def cmd_verify(args):
-    results = verify_mod.run(tuple(args.suite), max_n=args.max_n)
+    # imported here: it is the largest module, and only this command runs it
+    from .verify import run
+
+    results = run(tuple(args.suite), max_n=args.max_n)
     ok = all(check.ok for _, checks in results for check in checks)
     payload = {
         "max_n": args.max_n,
@@ -270,8 +272,7 @@ def build_parser():
 
     p = sub.add_parser("verify", parents=[common],
                        help="run invariant suites (exit 1 on any failure)")
-    p.add_argument("suite", nargs="+",
-                   help="suite names or 'all': " + ", ".join(verify_mod.SUITES))
+    p.add_argument("suite", nargs="+", help="suite names or 'all'")
     p.add_argument("--max-n", type=int, default=5, dest="max_n")
     p.set_defaults(func=cmd_verify)
     return parser

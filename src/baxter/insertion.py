@@ -31,37 +31,40 @@ from .trees import LNode, Node, canopies_complementary, canopy, infix_edges, pai
 from .words import check_word
 
 
-def _leaf_insertion(w, steps):
+def _leaf_insertion(keyed, backward):
     """Child arrays of the search tree made by leaf-inserting the
-    positions of ``w`` in the order ``steps``.
+    positions ``0..n-1`` of a word left to right, or right to left when
+    ``backward``; ``keyed`` lists the positions in key order.
 
     Position ``i`` has the key ``(w[i], i)``.  A new key hangs under
     whichever of its in-order neighbours among the keys already inserted
     came later: it becomes that predecessor's right child or that
-    successor's left child.  The neighbours are found by deleting the
-    positions from the key-sorted list in reverse insertion order, so
-    after one sort each costs O(1).  Returns ``(left, right)``, indexed
-    by position, where ``len(w)`` stands for no child.
+    successor's left child.  Left to right the later neighbour is the
+    larger position, right to left the smaller one.  The neighbours are
+    found by deleting the positions from the key-ordered list in reverse
+    insertion order, so each costs O(1).  That list links positions
+    through ``before`` and ``after``, whose slot n holds the end mark.
+    It is written -1 left to right (index -1 is slot n) and n right to
+    left, so the end mark never came later.  The first position inserted is the
+    root and is never deleted.  Returns ``(left, right)``, indexed by
+    position, where n stands for no child.
     """
-    n = len(w)
-    when = [0] * n + [-1]  # insertion step; the end mark n is never later
-    for step, i in enumerate(steps):
-        when[i] = step
-    before = [n] * (n + 1)
-    after = [n] * (n + 1)
-    keyed = sorted(range(n), key=w.__getitem__)  # stable: ties by position
+    n = len(keyed)
+    end = n if backward else -1
+    before = [end] * (n + 1)
+    after = [end] * (n + 1)
     for i, j in zip(keyed, keyed[1:]):
         after[i] = j
         before[j] = i
     left = [n] * n
     right = [n] * n
-    for i in reversed(steps):
+    for i in range(n - 1) if backward else range(n - 1, 0, -1):
         p, s = before[i], after[i]
         after[p] = s
         before[s] = p
-        if when[p] > when[s]:
+        if (p > s) != backward:  # p came later
             right[p] = i
-        elif s != n:
+        else:
             left[s] = i
     return left, right
 
@@ -103,24 +106,32 @@ def _freeze(steps, children, labels, shapes=None):
 
 @lru_cache(maxsize=1)
 def _insertion_passes(w):
-    """Child arrays of the leaf insertion of the checked word ``w`` left
-    to right, and right to left (which equals root insertion left to
-    right).  One entry is kept, so that :func:`p_symbol`,
-    :func:`q_symbol` and :func:`p_shape` on the same word share the two
-    passes."""
-    forward = range(len(w))
-    return _leaf_insertion(w, forward), _leaf_insertion(w, forward[::-1])
+    """``(keyed, forward, backward)`` for the checked word ``w``: its
+    positions in key order, from one stable sort, and the child arrays of
+    its leaf insertion left to right and right to left (which equals root
+    insertion left to right).  One entry is kept, so that
+    :func:`p_symbol`, :func:`q_symbol` and :func:`p_shape` on the same
+    word share the sort and the two passes."""
+    keyed = sorted(range(len(w)), key=w.__getitem__)  # stable: ties by position
+    return keyed, _leaf_insertion(keyed, False), _leaf_insertion(keyed, True)
 
 
-def _twin_trees(w, labels):
-    """The two trees of the checked word ``w``, from its insertion passes.
-    Unlabeled, they share one table (:func:`_freeze`), which is dropped on
-    return: it has one entry per distinct subtree, at most ``2 * len(w)``."""
-    forward = range(len(w))
-    left, right = _insertion_passes(w)
+def _twin_trees(passes, labels):
+    """The two trees of a word from its insertion ``passes``.  Unlabeled,
+    they share one table (:func:`_freeze`), which is dropped on return: it
+    has one entry per distinct subtree, at most twice the word's length."""
+    keyed, left, right = passes
+    forward = range(len(keyed))
     shapes = None if labels is not None else ([None], {})
     return (_freeze(forward, left, labels, shapes),
             _freeze(forward[::-1], right, labels, shapes))
+
+
+def _canopy(keyed, right) -> str:
+    """The canopy of an inserted tree, read off its right-child array in
+    key order: bit k is 1 exactly when the k-th node has a right child."""
+    n = len(keyed)
+    return "".join(["0" if right[i] == n else "1" for i in keyed[:-1]])
 
 
 def p_symbol(u):
@@ -131,8 +142,9 @@ def p_symbol(u):
     tree as leaf-inserting right to left; in that pass the earlier
     position is the smaller key, so ties go left.  Each new key hangs
     under whichever of its in-order neighbours among the keys already
-    inserted came later.  Both passes cost O(n log n) and are iterative,
-    so deep words need no raised recursion limit.
+    inserted came later.  One stable sort puts the keys in order for
+    both passes; each pass then costs O(n).  All of it is iterative, so
+    deep words need no raised recursion limit.
 
     >>> from .trees import ltree_str
     >>> left, right = p_symbol((2, 3, 1))
@@ -140,7 +152,7 @@ def p_symbol(u):
     ('(2 (1 . .) (3 . .))', '(1 . (3 (2 . .) .))')
     """
     w = check_word(u)
-    return _twin_trees(w, w)
+    return _twin_trees(_insertion_passes(w), w)
 
 
 def q_symbol(u):
@@ -149,7 +161,7 @@ def q_symbol(u):
     Root insertion moves nodes around but never re-creates them; node
     number k of the Q-symbol sits where the letter inserted at step k
     ended up.  It is the right tree of :func:`p_symbol`, from the same
-    O(n log n) right-to-left pass, labeled by position instead of letter.
+    right-to-left pass, labeled by position instead of letter.
 
     >>> from .trees import ltree_str
     >>> ltree_str(q_symbol((1, 2)))
@@ -157,7 +169,7 @@ def q_symbol(u):
     """
     w = check_word(u)
     backward = range(len(w))[::-1]
-    return _freeze(backward, _insertion_passes(w)[1], range(1, len(w) + 1))
+    return _freeze(backward, _insertion_passes(w)[2], range(1, len(w) + 1))
 
 
 def is_twin_pair(pair) -> bool:
@@ -181,9 +193,13 @@ def check_twin_pair(pair):
 
 @lru_cache(maxsize=8192)  # `bx verify insertion --max-n 7` asks for 5,913 words
 def _shape(w):
-    """The twin pair of the checked word ``w``, checked to be one."""
-    out = _twin_trees(w, None)
-    if not is_twin_pair(out):
+    """The twin pair of the checked word ``w``, checked to be one: the
+    canopies are read off the insertion arrays (:func:`_canopy`)."""
+    passes = _insertion_passes(w)
+    out = _twin_trees(passes, None)
+    keyed, (_, forward_right), (_, backward_right) = passes
+    canopies = _canopy(keyed, forward_right), _canopy(keyed, backward_right)
+    if not canopies_complementary(*canopies):
         raise InternalInvariantError(
             f"insertion produced non-complementary canopies: {pair_str(out)}"
         )

@@ -49,34 +49,37 @@ def size(t) -> int:
     return n
 
 
-# Marks the stack of _text's walk: close a node's text.
-_CLOSE = object()
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
 
 def _text(t, labeled) -> str:
-    # Iterative: go down each left spine, stacking the right subtree still
-    # to print above the _CLOSE that ends its node.
+    # Iterative: go down each left spine, stacking each right subtree still
+    # to print with the number of ")" that follow its text.  A labeled node
+    # opens with a "{}" field, and one str.format call fills the fields
+    # with the labels in print order: format() gives each label the text
+    # an f-string would, and the fields come from here, never from a label.
+    labels = []
     parts = []
     todo = []
-    node = t
+    node, closes = t, 0
     while True:
         while node is not None:
-            parts.append(f"({node.label} " if labeled else "(")
-            todo.append(_CLOSE)
-            todo.append(node.right)
-            node = node.left
+            if labeled:
+                labels.append(node.label)
+                parts.append("({} ")
+            else:
+                parts.append("(")
+            todo.append((node.right, closes + 1))
+            node, closes = node.left, 0
         parts.append(".")
-        while todo and todo[-1] is _CLOSE:
-            todo.pop()
-            parts.append(")")
+        if closes:
+            parts.append(")" * closes)
         if not todo:
-            return "".join(parts)
+            text = "".join(parts)
+            return text.format(*labels) if labeled else text
         parts.append(" ")
-        node = todo.pop()
+        node, closes = todo.pop()
 
 
 def tree_str(t) -> str:

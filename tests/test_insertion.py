@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from baxter import insertion
 from baxter.congruence import congruence_class
+from baxter.errors import InternalInvariantError
 from baxter.insertion import (
     baxter_representative,
     check_twin_pair,
@@ -101,6 +102,25 @@ def test_symbols_and_shape_of_one_word_share_two_insertion_passes(monkeypatch):
     assert len(calls) == 2
     assert shape == (unlabel(left), unlabel(right))
     assert unlabel(q) == shape[1]
+
+
+def test_twin_check_names_the_pair_when_a_pass_goes_wrong(monkeypatch):
+    real = insertion._insertion_passes
+
+    def moved(w):
+        # the forward pass's right child of position 0 hangs under position 1
+        keyed, (left, right), backward = real(w)
+        right = list(right)
+        right[1], right[0] = right[0], len(w)
+        return keyed, (left, right), backward
+
+    monkeypatch.setattr(insertion, "_insertion_passes", moved)
+    p_shape.cache_clear()
+    with pytest.raises(InternalInvariantError) as caught:
+        p_shape((20, 10, 30))
+    assert str(caught.value) == (
+        "insertion produced non-complementary canopies: "
+        "[ ((. (. .)) .) | ((. (. .)) .) ]")
 
 
 def test_is_twin_pair():

@@ -1,10 +1,11 @@
 """Where the brute-force oracles live, read from the source with ``ast``.
 
 ``baxter.verify`` is the one home of the paper's literal definitions:
-only the CLI imports it, and only it imports the rewrite closure of
-``baxter.congruence``.  The library modules keep only what they run,
-and importing the CLI loads no ``dataclasses`` (which brings in
-``inspect``, ``ast``, ``dis`` and ``tokenize``).
+only the CLI's ``verify`` command imports it, and only it imports the
+rewrite closure of ``baxter.congruence``.  The library modules keep only
+what they run, and importing the CLI loads neither ``baxter.verify`` nor
+``dataclasses`` (which brings in ``inspect``, ``ast``, ``dis`` and
+``tokenize``).
 """
 
 import ast
@@ -112,7 +113,8 @@ def test_importing_the_cli_loads_no_dataclasses():
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, baxter.cli; assert 'dataclasses' not in sys.modules"],
+         "import sys, baxter.cli; assert 'dataclasses' not in sys.modules; "
+         "assert 'baxter.verify' not in sys.modules"],
         capture_output=True, text=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr

@@ -1,4 +1,5 @@
 import sys
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, strategies as st
@@ -113,6 +114,25 @@ def test_labeled_tree_round_trip():
     text = "(5 (4 (2 . (2 . .)) (4 . (4 . .))) (5 . .))"
     lt = parse_labeled_tree(text)
     assert ltree_str(lt) == text
+
+
+class _Colour(IntEnum):
+    RED = 1
+
+
+class _Formatted:
+    def __format__(self, spec):
+        return "formatted"
+
+    def __str__(self):
+        return "str"
+
+
+@pytest.mark.parametrize("a", [True, 0, -5, 10**30, _Colour.RED, 2049, _Formatted()])
+def test_labels_print_as_f_strings_do(a):
+    # An f-string formats each label with format(); str() and %s differ
+    # for a type that defines __format__, such as IntEnum on Python 3.10.
+    assert ltree_str(LNode(a, LNode(a, None, None), None)) == f"({a} ({a} . .) .)"
 
 
 def test_graft_examples():
