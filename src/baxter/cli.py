@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import lru_cache
 
@@ -33,12 +34,18 @@ from .trees import canopy, ltree_str, pair_str, parse_pair, tree_str
 from .words import is_permutation, parse_word, standardize, word_str
 
 
+def _write(text):
+    # once the reader is gone, the rest goes to os.devnull: the last flush cannot fail
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _emit(args, payload, plain_lines):
-    if args.plain:
-        for line in plain_lines:
-            print(line)
-    else:
-        print(json.dumps(payload, indent=2))
+    _write("".join(f"{line}\n" for line in plain_lines) if args.plain
+           else json.dumps(payload, indent=2) + "\n")
 
 
 def _term_lines(element):
@@ -118,15 +125,10 @@ def cmd_coproduct(args):
     return 0
 
 
-def cmd_dual_product(args):
-    args.basis = "Pstar"
-    return cmd_product(args)
-
-
 def cmd_lattice(args):
     fmt = "dot" if args.dot else args.format
     if fmt == "dot":
-        print(hasse_dot(args.n), end="")
+        _write(hasse_dot(args.n))
         return 0
     vertices = [pair_str(j) for j in enumerate_tbt(args.n)]
     covers = [
@@ -251,7 +253,7 @@ def build_parser():
                        help="shorthand for product --basis Pstar")
     p.add_argument("left")
     p.add_argument("right")
-    p.set_defaults(func=cmd_dual_product)
+    p.set_defaults(func=cmd_product, basis="Pstar")
 
     p = sub.add_parser("lattice", parents=[common],
                        help="vertices and cover moves of the degree-n pair lattice")

@@ -5,14 +5,14 @@ Summing the permutations of each baxter congruence class gives the basis
 pairs, with the order-sum bases ``E`` and ``H`` on top of it.  The
 graded dual carries the quotient basis ``Pstar``.  The sylvester class
 sums (shapes of single right trees) embed in P via ``rho``, the sum over
-twin partners.  Every structure constant follows a rule on
-classes: products of class sums walk lattice intervals, the paper's
-rule; the P coproduct cuts the members of a class where both halves are
-least in their classes; the Pstar product and coproduct spread and cut
-the least member of each class.  The permutation bases ``F`` and
-``Fstar`` keep their key products here, so that their elements
-multiply, but the maps through them are the oracles of
-:mod:`baxter.verify`.
+twin partners.  Every structure constant follows a rule on classes: a
+product of class sums, the paper's rule, and ``rho`` sum P over lattice
+intervals (:func:`~baxter.lattice.baxter_interval`); the P coproduct
+cuts the members of a class where both halves are least in their
+classes; the Pstar product and coproduct spread and cut the least
+member of each class.  The permutation bases ``F`` and ``Fstar`` keep
+their key products here, so that their elements multiply, but the maps
+through them are the oracles of :mod:`baxter.verify`.
 
 Elements are finite rational linear combinations of keys in one named
 basis; a tensor is an :class:`Element` whose basis is a tuple of names
@@ -38,12 +38,13 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
-from operator import eq, ne, or_
+from operator import or_
 
 from . import config
 from .errors import InternalInvariantError
 from .exactlin import RationalMatrix, kernel_basis, rational_str
 from .insertion import (
+    _greedy_walk,
     baxter_representative,
     check_twin_pair,
     class_of_pair,
@@ -51,15 +52,12 @@ from .insertion import (
     min_perm,
     p_shape,
 )
-from .lattice import enumerate_tbt, hasse, positions
+from .lattice import baxter_interval, enumerate_tbt, hasse, positions
 from .perms import is_connected
 from .trees import (
-    _rotation_interval,
-    canopy,
-    canopy_class,
-    complement_canopy,
     graft_over,
     graft_under,
+    infix_edges,
     pair_str,
     size as tree_size,
     tamari_vector,
@@ -303,25 +301,8 @@ _capped_cache = config.capped_cache(partial(_check_degree, "P"), maxsize=2048)
 @_capped_cache
 def p_product(j0, j1) -> Element:
     """Product of two P basis elements: P summed over the lattice interval
-    [``pair_over``, ``pair_under``], the twin pairs of the rotation
-    intervals of the left and the right trees' grafts."""
-    (left_hi, right_lo), (left_lo, right_hi) = pair_over(j0, j1), pair_under(j0, j1)
-    if right_lo is None:
-        return one("P")
-    rights = {}
-    for right, v in zip(*_rotation_interval(right_lo, right_hi)):
-        rights.setdefault(_canopy_key(v, eq), []).append(right)
-    return Element("P", {(left, right): 1
-                         for left, v in zip(*_rotation_interval(left_lo, left_hi))
-                         for right in rights.get(_canopy_key(v, ne), ())})
-
-
-def _canopy_key(v, test):
-    """The canopy of the tree of rotation vector ``v`` with ``test=eq``,
-    its complement with ``test=ne``, as a tuple of bools.  Bit k is 1
-    (True) when node k + 2, in infix order from 1, has no left child:
-    when its subtree starts at itself, ``v[k + 1] == k + 2``."""
-    return tuple(map(test, v[1:], range(2, len(v) + 1)))
+    [``pair_over``, ``pair_under``], the paper's rule."""
+    return Element("P", dict.fromkeys(baxter_interval(pair_over(j0, j1), pair_under(j0, j1)), 1))
 
 
 def _least_cuts(j):
@@ -453,19 +434,21 @@ def connected_pairs(n: int) -> frozenset:
 # the embedding of the sylvester (single right tree) class sums
 
 
+# `bx verify all --max-n 5` asks for 420 embeddings of 196 trees.
+@config.capped_cache(lambda t: config.check_enum_degree(tree_size(t)), maxsize=256)
 def rho(t) -> Element:
     """Embed a sylvester class: the sum of P over all twin partners of ``t``.
 
-    ``t`` plays the right-tree role; the sum runs over every left tree
-    with the complementary canopy, listed as the rotation interval
-    :func:`~baxter.trees.canopy_class`.  The degree of ``t`` is capped.
+    Its class, the permutations whose right tree is ``t``, is a weak-order
+    interval, so this is the lattice interval between the shapes of its
+    least and greatest members: the greedy walks of the order that puts
+    each child of ``t`` before its parent.  The degree of ``t`` is capped.
     """
-    n = tree_size(t)
-    config.check_enum_degree(n)
-    if n == 0:
-        return Element("P", {(None, None): 1})
-    partners = canopy_class(complement_canopy(canopy(t)))
-    return Element("P", {(t2, t): 1 for t2 in partners})
+    n, edges = infix_edges(t)
+    covers = [(child, parent) for parent, child in edges]
+    least = _greedy_walk(n, covers, lambda ready, placed: 0)
+    greatest = _greedy_walk(n, covers, lambda ready, placed: -1)
+    return Element("P", dict.fromkeys(baxter_interval(p_shape(least), p_shape(greatest)), 1))
 
 
 # ---------------------------------------------------------------------------

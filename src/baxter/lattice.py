@@ -7,28 +7,20 @@ under insertion: covers rotate one tree keeping its canopy, or both
 trees at the same canopy position.  A rotation keeps the canopy unless
 the subtree it moves across is empty, so :func:`baxter_covers` reads the
 covers off the infix-numbered tree edges.  Meets and joins project the weak
-order meet/join of class extremes.  :func:`enumerate_tbt` lists the
-pairs of a degree in canonical order, each canopy class walked as a
-rotation interval, and :func:`hasse` their covers; the order-sum tables
-of :mod:`baxter.hopf` are built from these alone.
+order meet/join of class extremes.  :func:`baxter_interval` lists the
+pairs between two pairs; :func:`enumerate_tbt`, one degree's interval in
+canonical order, and :func:`hasse`, its covers, are all the order-sum
+tables of :mod:`baxter.hopf` are built from.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import NamedTuple
 
 from . import config
 from .insertion import check_twin_pair, max_perm, min_perm, p_shape
 from .perms import weak_order_join, weak_order_meet
-from .trees import (
-    canopy_class,
-    complement_canopy,
-    infix_edges,
-    pair_str,
-    rotations,
-    tamari_leq,
-)
+from .trees import infix_edges, pair_str, rotations, tamari_leq, twin_box
 
 
 class PairCover(NamedTuple):
@@ -44,21 +36,29 @@ def _check_degree(n):
     config.check_enum_degree(n)
 
 
+def baxter_interval(lo, hi) -> list:
+    """The twin pairs ``j`` with ``lo <= j <= hi``: left trees from ``hi``'s
+    up to ``lo``'s, right trees from ``lo``'s up to ``hi``'s.  The partners
+    of a right tree, the trees of one canopy, are one such interval:
+
+    >>> lo, hi = p_shape((1, 3, 2)), p_shape((3, 1, 2))
+    >>> [pair_str(j) for j in baxter_interval(lo, hi)]
+    ['[ ((. (. .)) .) | ((. .) (. .)) ]', '[ (. ((. .) .)) | ((. .) (. .)) ]']
+    """
+    return twin_box(hi[0], lo[0], lo[1], hi[1])
+
+
 @config.capped_cache(_check_degree)
 def enumerate_tbt(n: int) -> tuple:
     """All twin pairs of size ``n`` (Baxter many), in the canonical order:
-    sorted by :func:`~baxter.trees.pair_str`.
+    the interval between the shapes of ``1..n`` and ``n..1``, sorted by
+    :func:`~baxter.trees.pair_str`.
 
     >>> [len(enumerate_tbt(k)) for k in range(5)]
     [1, 1, 2, 6, 22]
     """
-    if n == 0:
-        return ((None, None),)
-    pairs = []
-    for bits in itertools.product("01", repeat=n - 1):
-        c = "".join(bits)
-        pairs += itertools.product(canopy_class(c), canopy_class(complement_canopy(c)))
-    return tuple(sorted(pairs, key=pair_str))
+    bottom, top = p_shape(range(1, n + 1)), p_shape(range(n, 0, -1))
+    return tuple(sorted(baxter_interval(bottom, top), key=pair_str))
 
 
 def baxter_leq(j0, j1) -> bool:

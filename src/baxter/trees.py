@@ -2,7 +2,7 @@
 
 A tree is ``None`` (the leaf) or a ``Node(left, right)``; labeled trees
 use ``LNode(label, left, right)``.  Both are immutable and hashable, so
-trees double as dictionary keys.
+trees double as dictionary keys.  :func:`twin_box` lists twin pairs.
 
 Node positions are always the 1-based infix index (left subtree, node,
 right subtree).  Text form: ``.`` for the leaf, ``(L R)`` for a node,
@@ -17,8 +17,7 @@ at a letter live in :mod:`baxter.verify`.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from operator import le
+from operator import eq, le, ne
 from typing import NamedTuple, Optional
 
 
@@ -512,21 +511,15 @@ def _rotation_interval(lo, hi):
     return out, vectors
 
 
-@lru_cache(maxsize=256)  # every canopy word of degree <= 8 (255)
-def canopy_class(c: str) -> tuple:
-    """The trees whose canopy is ``c``: a rotation interval, since canopy
-    is a lattice quotient of the rotation order.  The least tree grows
-    one node per bit: a new root above it for a ``0``, a node at its
-    rightmost leaf for a ``1``.  The greatest grows from the last bit
-    back: a node at its leftmost leaf for a ``0``, a new root for a ``1``.
-
-    >>> [tree_str(t) for t in canopy_class("10")]
-    ['((. (. .)) .)', '(. ((. .) .))']
-    """
-    node = Node(None, None)
-    lo = hi = node
-    for b in c:
-        lo = graft_over(lo, node) if b == "0" else graft_under(lo, node)
-    for b in reversed(c):
-        hi = graft_over(node, hi) if b == "0" else graft_under(node, hi)
-    return tuple(tamari_interval(lo, hi))
+def twin_box(left_lo, left_hi, right_lo, right_hi) -> list:
+    """The twin pairs with left tree in the rotation interval [``left_lo``,
+    ``left_hi``] and right tree in [``right_lo``, ``right_hi``], matched by
+    canopies read off the walk's vectors: bit k is 1 when node k + 2 has no
+    left child, so that its subtree starts at it: ``v[k + 1] == k + 2``."""
+    def bits(v, test):  # the canopy with ``eq``, its complement with ``ne``
+        return tuple(map(test, v[1:], range(2, len(v) + 1)))
+    rights = {}
+    for right, v in zip(*_rotation_interval(right_lo, right_hi)):
+        rights.setdefault(bits(v, eq), []).append(right)
+    return [(left, right) for left, v in zip(*_rotation_interval(left_lo, left_hi))
+            for right in rights.get(bits(v, ne), ())]

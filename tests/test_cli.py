@@ -219,6 +219,21 @@ def test_pstar_coproduct_of_a_deep_comb_stops_at_the_degree_cap():
     assert proc.stderr.startswith(f"error: total degree {n} exceeds PRODUCT_DEGREE_CAP")
 
 
+def test_a_closed_pipe_ends_the_command_quietly_with_its_exit_code():
+    # `bx lattice 7` writes 1.5 MB of JSON, more than a pipe buffer holds
+    src = os.path.dirname(os.path.dirname(baxter.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "baxter.cli", "lattice", "7"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=path))
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 0, err
+    assert "Traceback" not in err
+
+
 def test_product_rejects_malformed_pair_with_position(capsys):
     code, _, err = run_cli(
         capsys, "product", "--basis", "P", "[ (. .) | (. . ]", "[ . | . ]")

@@ -33,6 +33,7 @@ from baxter.lattice import baxter_leq, enumerate_tbt, hasse
 from baxter.trees import (
     canopies_complementary,
     canopy,
+    complement_canopy,
     graft_over,
     graft_under,
     pair_str,
@@ -68,6 +69,7 @@ J12 = p_shape((1, 2))
 J21 = p_shape((2, 1))
 J2143 = p_shape((2, 1, 4, 3))
 J3142 = p_shape((3, 1, 4, 2))
+T5 = p_shape((3, 1, 2, 5, 4))[1]  # a right tree of 5 nodes
 
 
 def test_element_arithmetic():
@@ -632,6 +634,18 @@ def test_rho_sums_the_complementary_canopy_filter_of_all_trees():
             assert rho(t) == Element("P", {(tl, t): 1 for tl in partners})
 
 
+def test_rho_partners_are_the_canopy_grouping_of_all_trees(monkeypatch):
+    monkeypatch.setattr(config, "ENUM_DEGREE_CAP", 8)
+    for n in range(1, 9):
+        groups = {}
+        for t in all_trees(n):
+            groups.setdefault(canopy(t), set()).add(t)
+        assert len(groups) == 2 ** (n - 1)
+        for t in all_trees(n):
+            partners = groups[complement_canopy(canopy(t))]
+            assert rho(t) == Element("P", {(left, t): 1 for left in partners})
+
+
 def test_rho_is_capped_by_the_enumeration_degree():
     comb = parse_tree("(" * 300 + "." + " .)" * 300)
     with pytest.raises(ValueError, match="ENUM_DEGREE_CAP"):
@@ -788,7 +802,8 @@ for name, args in (("p_product", (j, j)), ("p_coproduct", (j,)),
     (hasse, (5,), {"n": 5}),
     (hopf.order_sum_tables, ("E", 5), {"basis": "E", "n": 5}),
     (hopf.connected_pairs, (5,), {"n": 5}),
-], ids=["enumerate_tbt", "hasse", "order_sum_tables", "connected_pairs"])
+    (rho, (T5,), {"t": T5}),
+], ids=["enumerate_tbt", "hasse", "order_sum_tables", "connected_pairs", "rho"])
 def test_enumeration_caps_hold_for_answers_cached_under_a_higher_cap(
         monkeypatch, fn, args, kwargs):
     monkeypatch.setattr(config, "ENUM_DEGREE_CAP", 4)

@@ -5,7 +5,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from baxter import insertion
+from baxter import hopf, insertion
 from baxter.congruence import congruence_class
 from baxter.errors import InternalInvariantError
 from baxter.insertion import (
@@ -24,7 +24,6 @@ from baxter.trees import (
     Node,
     canopies_complementary,
     canopy,
-    canopy_class,
     infix_edges,
     ltree_str,
     pair_str,
@@ -227,7 +226,7 @@ def test_extremes_meet_join_and_duals_never_enumerate_a_class(monkeypatch):
 
 
 def test_class_caches_are_bounded():
-    for cached in (insertion._extremes, class_of_pair, p_shape, canopy_class):
+    for cached in (insertion._extremes, class_of_pair, p_shape, hopf.rho):
         assert cached.cache_info().maxsize is not None
 
 

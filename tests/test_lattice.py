@@ -12,6 +12,7 @@ from baxter.insertion import is_twin_pair, min_perm, p_shape
 from baxter.lattice import (
     PairCover,
     baxter_covers,
+    baxter_interval,
     baxter_join,
     baxter_leq,
     baxter_meet,
@@ -37,6 +38,34 @@ def all_perms(n):
 
 def test_enumeration_counts():
     assert [len(enumerate_tbt(n)) for n in range(6)] == [1, 1, 2, 6, 22, 92]
+
+
+def _order_filter(lo, hi, pairs):
+    return [j for j in pairs if baxter_leq(lo, j) and baxter_leq(j, hi)]
+
+
+def _interval_in_canonical_order(lo, hi):
+    got = baxter_interval(lo, hi)
+    assert len(set(got)) == len(got)  # no pair listed twice
+    return sorted(got, key=pair_str)
+
+
+def test_intervals_are_the_order_filter_of_the_vertex_list():
+    incomparable = 0
+    for n in range(5):
+        pairs = enumerate_tbt(n)
+        for lo, hi in itertools.product(pairs, repeat=2):
+            got = _interval_in_canonical_order(lo, hi)
+            assert got == _order_filter(lo, hi, pairs), (pair_str(lo), pair_str(hi))
+            if not baxter_leq(lo, hi) and not baxter_leq(hi, lo):
+                incomparable += 1
+                assert got == []
+    assert incomparable > 0
+    pairs = enumerate_tbt(5)
+    bottom, top = p_shape((1, 2, 3, 4, 5)), p_shape((5, 4, 3, 2, 1))
+    for j in pairs:
+        assert _interval_in_canonical_order(j, top) == _order_filter(j, top, pairs)
+        assert _interval_in_canonical_order(bottom, j) == _order_filter(bottom, j, pairs)
 
 
 def test_enumeration_is_in_pair_text_order_and_hasse_lists_the_sorted_covers():

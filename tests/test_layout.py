@@ -38,7 +38,7 @@ DELETED = {
     "_class_sums", "_right_shape", "sylv_to_f", "sylv_element",
     "_sylv_key_product", "rho_linear", "sylvester_class_of_tree", "e_from_p",
     "h_from_p", "p_from_e", "p_from_h", "tensor_product", "equivalent",
-    "_greedy_extremes",
+    "_greedy_extremes", "canopy_class", "_canopy_key",
 }
 ORACLES = MOVED | {"adjacent_rewrites", "congruence_class"}
 

@@ -11,7 +11,6 @@ from baxter.trees import (
     ParseError,
     canopies_complementary,
     canopy,
-    canopy_class,
     complement_canopy,
     graft_over,
     graft_under,
@@ -224,18 +223,6 @@ def test_complement_canopy():
     assert not canopies_complementary(left, left)
     assert not canopies_complementary("0", "10")
     assert not canopies_complementary("0110", "1011")
-
-
-def test_canopy_classes_are_the_canopy_grouping_of_all_trees():
-    for n in range(1, 9):
-        groups = {}
-        for t in all_trees(n):
-            groups.setdefault(canopy(t), set()).add(t)
-        assert len(groups) == 2 ** (n - 1)
-        for word, group in groups.items():
-            got = canopy_class(word)
-            assert len(got) == len(group)
-            assert set(got) == group
 
 
 def test_tamari_vector_bounds():
