@@ -9,7 +9,7 @@ are ordinary module attributes and may be raised at runtime, e.g.::
 
 A cached operation checks its cap before its cache (:func:`capped_cache`),
 so an answer cached under a raised cap is refused once the cap is
-lowered again.
+lowered again.  :func:`check_enum_degree` also refuses a negative n.
 """
 
 from functools import lru_cache, wraps
@@ -25,6 +25,8 @@ PRODUCT_DEGREE_CAP = 6
 
 
 def check_enum_degree(n):
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     if n > ENUM_DEGREE_CAP:
         raise ValueError(
             f"degree {n} exceeds ENUM_DEGREE_CAP={ENUM_DEGREE_CAP}; "

@@ -9,6 +9,7 @@ no floats, no tolerances, anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import NamedTuple
 
 
 def rational_str(q) -> str:
@@ -29,50 +30,38 @@ def rational_str(q) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-class RationalMatrix:
-    """A rows x cols matrix of rationals, nonzero entries only.
+class _MatrixFields(NamedTuple):
+    rows: int
+    cols: int
+    entries: dict
 
-    Immutable, compared by value, and unhashable, since ``entries`` is a
-    dict.
+
+class RationalMatrix(_MatrixFields):
+    """A rows x cols matrix of rationals, nonzero entries only: immutable,
+    equal by value to matrices only, and unhashable (``entries`` is a dict).
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ()
 
-    def __init__(self, rows: int, cols: int, entries=None):
-        set_field = object.__setattr__
-        set_field(self, "rows", rows)
-        set_field(self, "cols", cols)
-        set_field(self, "entries", {} if entries is None else entries)
-        self.__post_init__()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
-
-    __hash__ = None
-
-    def __repr__(self):
-        return (f"{type(self).__name__}(rows={self.rows!r}, cols={self.cols!r}, "
-                f"entries={self.entries!r})")
-
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __new__(cls, rows: int, cols: int, entries=None):
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         clean = {}
-        for (i, j), v in self.entries.items():
-            if not (0 <= i < self.rows and 0 <= j < self.cols):
+        for (i, j), v in (entries or {}).items():
+            if not (0 <= i < rows and 0 <= j < cols):
                 raise ValueError(f"entry position {(i, j)} out of range")
             v = Fraction(v)
             if v:
                 clean[(i, j)] = v
-        object.__setattr__(self, "entries", clean)
+        return super().__new__(cls, rows, cols, clean)
+
+    def __eq__(self, other):
+        return isinstance(other, RationalMatrix) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = None
 
     @classmethod
     def from_rows(cls, data, cols=None):

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache, partial, reduce
+from functools import reduce
 from operator import or_
 
 from . import config
@@ -77,10 +77,7 @@ _BASES = {
 
 
 def key_degree(basis: str, key) -> int:
-    if _BASES[basis][0] == "perm":
-        return len(key)
-    # a tree's degree is its vector's length: memoized for small trees
-    return len(tamari_vector(key[0]))
+    return len(key) if _BASES[basis][0] == "perm" else tree_size(key[0])
 
 
 def key_str(basis: str, key) -> str:
@@ -278,7 +275,6 @@ def _value_cuts(s):
         yield tuple(a for a in s if a <= k), tuple(a - k for a in s if a > k)
 
 
-@lru_cache(maxsize=128)  # `bx verify all --max-n 6` asks for 93 key pairs
 def _fstar_key_product(s, t) -> Element:
     return Element("Fstar", {p: 1 for p in _spreads(s, t)})
 
@@ -287,15 +283,15 @@ def _fstar_key_product(s, t) -> Element:
 # the P basis: class sums over twin pairs
 
 
-def _check_degree(basis: str, *keys):
-    config.check_product_degree(sum(key_degree(basis, k) for k in keys))
+def _check_degree(*pairs):
+    config.check_product_degree(sum(tree_size(j[0]) for j in pairs))
 
 
 # Cache an operation on twin pairs, checking the degree cap first, on
 # hits too: the cache hashes the pairs, which recurses in C and crashes on
 # deep enough trees.  `bx verify all --max-n 6` asks for 1,488 products
 # and 546 coproducts.
-_capped_cache = config.capped_cache(partial(_check_degree, "P"), maxsize=2048)
+_capped_cache = config.capped_cache(_check_degree, maxsize=2048)
 
 
 @_capped_cache
@@ -385,13 +381,13 @@ def order_sum_tables(basis: str, n: int):
 
 def e_product(j0, j1) -> Element:
     """Product of two E basis elements: the single graft ``E[pair_over]``."""
-    _check_degree("E", j0, j1)
+    _check_degree(j0, j1)
     return Element("E", {pair_over(j0, j1): 1})
 
 
 def h_product(j0, j1) -> Element:
     """Product of two H basis elements: the single graft ``H[pair_under]``."""
-    _check_degree("H", j0, j1)
+    _check_degree(j0, j1)
     return Element("H", {pair_under(j0, j1): 1})
 
 
@@ -458,14 +454,14 @@ def rho(t) -> Element:
 def dual_product(j0, j1) -> Element:
     """Product of two Pstar basis elements: the classes of the spreads of
     the least members of the two classes (any members give the same)."""
-    _check_degree("Pstar", j0, j1)
+    _check_degree(j0, j1)
     return Element("Pstar", [(p_shape(s), 1) for s in _spreads(min_perm(j0), min_perm(j1))])
 
 
 def dual_coproduct(j) -> Element:
     """Coproduct of a Pstar basis element: the classes of the value cuts
     of the least member of the class (any member gives the same)."""
-    _check_degree("Pstar", j)
+    _check_degree(j)
     return Element(("Pstar", "Pstar"), [
         ((p_shape(low), p_shape(high)), 1) for low, high in _value_cuts(min_perm(j))])
 
@@ -474,22 +470,15 @@ def dual_coproduct(j) -> Element:
 # totally primitive elements and the Baxter numbers
 
 
-def totally_primitive_basis(n: int):
+@config.capped_cache(config.check_enum_degree)
+def totally_primitive_basis(n: int) -> tuple:
     """A basis of degree-n P-combinations killed by both half coproducts.
 
     Computed exactly: the proper cuts of :func:`p_coproduct`, split by
     whether the value n lies before the cut, are the two half coproducts
     in P(x)P coordinates; stack them over all degree-n twin pairs and
-    take the kernel.
+    take the kernel.  Every call at ``n`` shares one tuple.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    config.check_enum_degree(n)
-    return list(_totally_primitive_cached(n))
-
-
-@lru_cache(maxsize=None)
-def _totally_primitive_cached(n: int):
     if n == 0:
         return ()
     pairs = enumerate_tbt(n)
@@ -513,8 +502,7 @@ def baxter_numbers(nmax: int):
     >>> baxter_numbers(5)
     [1, 1, 2, 6, 22, 92]
     """
-    if nmax < 0:
-        raise ValueError("n must be nonnegative")
+    config.check_enum_degree(nmax)
     return [len(enumerate_tbt(k)) for k in range(nmax + 1)]
 
 

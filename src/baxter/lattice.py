@@ -30,12 +30,6 @@ class PairCover(NamedTuple):
     case: str  # "left-only" | "right-only" | "simultaneous"
 
 
-def _check_degree(n):
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    config.check_enum_degree(n)
-
-
 def baxter_interval(lo, hi) -> list:
     """The twin pairs ``j`` with ``lo <= j <= hi``: left trees from ``hi``'s
     up to ``lo``'s, right trees from ``lo``'s up to ``hi``'s.  The partners
@@ -48,7 +42,7 @@ def baxter_interval(lo, hi) -> list:
     return twin_box(hi[0], lo[0], lo[1], hi[1])
 
 
-@config.capped_cache(_check_degree)
+@config.capped_cache(config.check_enum_degree)
 def enumerate_tbt(n: int) -> tuple:
     """All twin pairs of size ``n`` (Baxter many), in the canonical order:
     the interval between the shapes of ``1..n`` and ``n..1``, sorted by
@@ -123,7 +117,7 @@ def baxter_join(j0, j1):
     return p_shape(weak_order_join(max_perm(j0), max_perm(j1)))
 
 
-@config.capped_cache(_check_degree)
+@config.capped_cache(config.check_enum_degree)
 def hasse(n: int) -> tuple:
     """The covers of each pair of ``enumerate_tbt(n)``, in that order, as
     sorted ``(position, case)`` tuples: the target's position in

@@ -33,14 +33,7 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import eq, or_
 
-from .words import is_permutation
-
-
-def check_permutation(sigma) -> tuple:
-    s = tuple(sigma)
-    if not is_permutation(s):
-        raise ValueError(f"not a permutation: {s}")
-    return s
+from .words import check_permutation
 
 
 def inverse(sigma) -> tuple:
@@ -65,15 +58,14 @@ def _rows(s: tuple) -> tuple:
     and ``j`` comes before ``i``, and of ``complements[i - 1]`` when
     ``i < j`` and ``i`` comes first.
 
-    ``s`` is checked as :func:`check_permutation` checks it, on a cache
-    miss only; hits are found by value, so equal tuples of other numeric
-    types share the entry, which is built from ``int`` letters.
+    ``s`` is checked by :func:`~baxter.words.check_permutation`, on a
+    cache miss only; hits are found by value, so equal tuples of other
+    numeric types share the entry, which is built from ``int`` letters.
 
     >>> [[bin(row) for row in part] for part in _rows((3, 1, 2))]
     [['0b100', '0b100', '0b0'], ['0b10', '0b0', '0b0']]
     """
-    if not is_permutation(s):
-        raise ValueError(f"not a permutation: {s}")
+    check_permutation(s)
     rows = [0] * len(s)
     complements = [0] * len(s)
     seen = 0

@@ -33,19 +33,12 @@ class LNode(NamedTuple):
 
 
 def size(t) -> int:
-    """Number of internal nodes, counted down the left spines.
+    """Number of internal nodes: the length of :func:`tamari_vector`.
 
     >>> size(Node(Node(None, None), None))
     2
     """
-    n, todo = 0, [t]
-    while todo:
-        node = todo.pop()
-        while node is not None:
-            n += 1
-            todo.append(node.right)
-            node = node.left
-    return n
+    return len(tamari_vector(t))
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,10 @@
 
 A word is a tuple of letters, each an ``int >= 1``; a permutation is a
 word in which every letter of {1..n} appears exactly once.  This module
-holds the letter-level operations everything else is built on:
-standardization, evaluation, restriction to a letter interval, the
-reverse-complement (Schuetzenberger) transform, shuffles, and the shifted
-shuffle of permutations.
+holds the letter-level operations everything else is built on: the one
+permutation check, standardization, evaluation, restriction to a letter
+interval, the reverse-complement (Schuetzenberger) transform, shuffles,
+and the shifted shuffle of permutations.
 """
 
 from __future__ import annotations
@@ -36,6 +36,14 @@ def is_permutation(u) -> bool:
     """
     w = tuple(u)
     return sorted(w) == list(range(1, len(w) + 1))
+
+
+def check_permutation(sigma) -> tuple:
+    """``sigma`` as a tuple; ``ValueError`` unless it is a permutation."""
+    s = tuple(sigma)
+    if not is_permutation(s):
+        raise ValueError(f"not a permutation: {s}")
+    return s
 
 
 def standardize(u) -> tuple:
@@ -151,10 +159,7 @@ def shifted_shuffle(sigma, nu) -> set:
     >>> len(shifted_shuffle((1, 2), (2, 1)))
     6
     """
-    s, t = tuple(sigma), tuple(nu)
-    for w in (s, t):
-        if not is_permutation(w):
-            raise ValueError(f"not a permutation: {w}")
+    s, t = check_permutation(sigma), check_permutation(nu)
     shifted = tuple(a + len(s) for a in t)
     return set(_interleavings(s, shifted))
 

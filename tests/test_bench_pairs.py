@@ -3,6 +3,7 @@ runs: nothing here runs the benchmark."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -52,3 +53,29 @@ def test_parse_result_reads_the_last_line_of_run_py():
     stdout = json.dumps({"record": {}}) + "\n" + json.dumps(result) + "\n"
     assert bench_pairs.parse_result(stdout) == {
         "correct": True, "attempted": 9, "failed": 0, "metrics": {"wall_s": 0.7}}
+
+
+# The head side's copy of a checkout, on a throwaway repository.
+def test_the_head_copy_takes_edits_and_new_files_but_no_ignored_ones(tmp_path):
+    repo, into = tmp_path / "repo", tmp_path / "copy"
+    (repo / "pkg").mkdir(parents=True)
+    (repo / ".gitignore").write_text("__pycache__/\n")
+    (repo / "pkg" / "m.py").write_text("x = 1\n")
+    (repo / "gone.py").write_text("y = 1\n")
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                       cwd=repo, check=True, capture_output=True)
+
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "seed")
+    (repo / "pkg" / "m.py").write_text("x = 2\n")
+    (repo / "pkg" / "new.py").write_text("z = 1\n")
+    (repo / "gone.py").unlink()
+    (repo / "pkg" / "__pycache__").mkdir()
+    (repo / "pkg" / "__pycache__" / "m.cpython-311.pyc").write_bytes(b"stale")
+    bench_pairs.copy_checkout(repo, into)
+    copied = sorted(str(p.relative_to(into)) for p in into.rglob("*") if p.is_file())
+    assert copied == [".gitignore", "pkg/m.py", "pkg/new.py"]
+    assert (into / "pkg" / "m.py").read_text() == "x = 2\n"

@@ -429,11 +429,12 @@ def test_coproducts_duals_and_primitives_build_no_permutation_element(monkeypatc
             super().__init__(basis, terms)
 
     monkeypatch.setattr(hopf, "Element", PairsOnly)
-    caches = (p_coproduct, hopf._totally_primitive_cached)
+    caches = (p_coproduct, totally_primitive_basis)
     for cached in caches:
         cached.cache_clear()
     try:
         assert answers() == expected
+        assert totally_primitive_basis(4) is totally_primitive_basis(4)
         with pytest.raises(AssertionError, match="basis Fstar"):
             fstar_element((1,))
     finally:
@@ -442,7 +443,7 @@ def test_coproducts_duals_and_primitives_build_no_permutation_element(monkeypatc
 
 
 def test_hopf_caches_are_bounded():
-    for cached in (p_product, p_coproduct, hopf._fstar_key_product):
+    for cached in (p_product, p_coproduct):
         assert cached.cache_info().maxsize is not None
 
 
@@ -817,6 +818,39 @@ def test_enumeration_caps_hold_for_answers_cached_under_a_higher_cap(
     for call in (lambda: fn(*args), lambda: fn(**kwargs)):
         with pytest.raises(ValueError, match="ENUM_DEGREE_CAP=4"):
             call()
+
+
+@pytest.mark.parametrize("fn, head", [
+    (enumerate_tbt, ()),
+    (hasse, ()),
+    (connected_pairs, ()),
+    (hopf.order_sum_tables, ("E",)),
+    (hopf.order_sum_tables, ("H",)),
+    (totally_primitive_basis, ()),
+    (baxter_numbers, ()),
+], ids=["enumerate_tbt", "hasse", "connected_pairs", "order_sum_tables_E",
+        "order_sum_tables_H", "totally_primitive_basis", "baxter_numbers"])
+def test_degree_entry_points_refuse_bad_degrees_before_any_enumeration(
+        monkeypatch, fn, head):
+    enumerated = []
+
+    def spy(n):
+        enumerated.append(n)
+        return enumerate_tbt(n)
+
+    monkeypatch.setattr("baxter.lattice.enumerate_tbt", spy)
+    monkeypatch.setattr(hopf, "enumerate_tbt", spy)
+    if hasattr(fn, "cache_clear"):
+        fn.cache_clear()
+    for warm in (False, True):
+        if warm:
+            fn(*head, 2)
+        enumerated.clear()
+        with pytest.raises(ValueError, match="^n must be nonnegative$"):
+            fn(*head, -1)
+        with pytest.raises(ValueError, match="ENUM_DEGREE_CAP"):
+            fn(*head, 8)
+        assert enumerated == []
 
 
 def test_capped_p_product_keeps_its_cache_counters():

@@ -39,7 +39,10 @@ DELETED = {
     "_sylv_key_product", "rho_linear", "sylvester_class_of_tree", "e_from_p",
     "h_from_p", "p_from_e", "p_from_h", "tensor_product", "equivalent",
     "_greedy_extremes", "canopy_class", "_canopy_key",
+    "_totally_primitive_cached",
 }
+# Input checks, each defined in one module only.
+CHECKS = {"check_permutation": "words", "check_enum_degree": "config"}
 ORACLES = MOVED | {"adjacent_rewrites", "congruence_class"}
 
 
@@ -100,6 +103,12 @@ def test_the_oracles_are_defined_only_in_verify():
     for name, tree in sources.items():
         if name != "verify":
             assert not (MOVED | DELETED) & _defined(tree), name
+
+
+def test_each_input_check_is_defined_in_one_module():
+    sources = _sources()
+    for check, home in CHECKS.items():
+        assert {name for name, tree in sources.items() if check in _defined(tree)} == {home}
 
 
 def test_the_package_exports_only_functions_and_classes():

@@ -3,9 +3,12 @@
     python3 tools/bench_pairs.py --parent HEAD~1 --workload verify \\
         --workload words --pairs 10 --seconds 40 --seed 1 --out BENCH_N.json
 
-The parent revision is exported with ``git archive`` into a temporary
-directory, which leaves nothing behind in the repository's ``.git``; the
-other side, ``head``, is this checkout as it stands.  Each pair runs
+Both sides run from clean temporary copies, so neither finds bytecode or
+other leftovers that the other lacks.  The parent revision is exported
+with ``git archive``, which leaves nothing behind in the repository's
+``.git``; the other side, ``head``, copies the files of this checkout
+that git lists, tracked or untracked but not ignored, so uncommitted
+edits and new files come along and ``__pycache__`` does not.  Each pair runs
 ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` once on
 either side, one process at a time, and the side that goes first
 alternates from pair to pair.  For every end-to-end metric that
@@ -22,6 +25,7 @@ import io
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -104,6 +108,20 @@ def export(rev: str, into: Path) -> str:
     return sha
 
 
+def copy_checkout(root: Path, into: Path) -> None:
+    """Copy the files of the checkout at ``root`` that ``git ls-files
+    --cached --others --exclude-standard`` lists under ``into``, skipping
+    tracked files deleted from the checkout."""
+    listed = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=root, capture_output=True, check=True).stdout
+    for name in filter(None, map(os.fsdecode, listed.split(b"\0"))):
+        source = root / name
+        if source.is_file():
+            (into / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, into / name)
+
+
 def _git(*args) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
                           check=True).stdout.strip()
@@ -129,9 +147,11 @@ def main(argv=None):
                  "uncommitted_changes": bool(_git("status", "--porcelain"))},
         "workloads": {},
     }
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        record["parent"] = {"commit": export(args.parent, Path(tmp))}
-        roots = {"parent": Path(tmp), "head": ROOT}
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent, \
+            tempfile.TemporaryDirectory(prefix="bench-head-") as head:
+        record["parent"] = {"commit": export(args.parent, Path(parent))}
+        copy_checkout(ROOT, Path(head))
+        roots = {"parent": Path(parent), "head": Path(head)}
         for workload in args.workload:
             runs = []
             for k in range(args.pairs):
