@@ -30,7 +30,7 @@ from .hopf import (
 from .insertion import class_of_pair, p_shape, p_symbol, q_symbol
 from .lattice import enumerate_tbt, hasse, hasse_dot
 from .perms import is_baxter
-from .trees import canopy, ltree_str, pair_str, parse_pair, tree_str
+from .trees import canopy, ltree_str, pair_str, pair_text, parse_pair, tree_str
 from .words import is_permutation, parse_word, standardize, word_str
 
 
@@ -60,15 +60,16 @@ def cmd_insert(args):
     left, right = p_symbol(u)
     q = q_symbol(u)
     shape = p_shape(u)
+    shapes = [tree_str(t) for t in shape]
     # the empty pair has empty canopies, though canopy() rejects the leaf
     canopies = [canopy(t) if u else "" for t in shape]
     payload = {
         "word": word_str(u),
         "left_tree": ltree_str(left),
         "right_tree": ltree_str(right),
-        "left_shape": tree_str(shape[0]),
-        "right_shape": tree_str(shape[1]),
-        "pair": pair_str(shape),
+        "left_shape": shapes[0],
+        "right_shape": shapes[1],
+        "pair": pair_text(*shapes),
         "left_canopy": canopies[0],
         "right_canopy": canopies[1],
         "q_tree": ltree_str(q),

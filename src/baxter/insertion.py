@@ -27,7 +27,15 @@ from bisect import bisect, insort
 from functools import lru_cache
 
 from .errors import InternalInvariantError
-from .trees import LNode, Node, canopies_complementary, canopy, infix_edges, pair_str
+from .trees import (
+    LNode,
+    Node,
+    canopies_complementary,
+    canopy,
+    infix_edges,
+    pair_str,
+    remember_canopy,
+)
 from .words import check_word
 
 
@@ -194,7 +202,9 @@ def check_twin_pair(pair):
 @lru_cache(maxsize=8192)  # `bx verify insertion --max-n 7` asks for 5,913 words
 def _shape(w):
     """The twin pair of the checked word ``w``, checked to be one: the
-    canopies are read off the insertion arrays (:func:`_canopy`)."""
+    canopies are read off the insertion arrays (:func:`_canopy`) and
+    handed to :func:`~baxter.trees.canopy`'s memo, so that a caller
+    asking for them next does not walk the trees again."""
     passes = _insertion_passes(w)
     out = _twin_trees(passes, None)
     keyed, (_, forward_right), (_, backward_right) = passes
@@ -203,6 +213,9 @@ def _shape(w):
         raise InternalInvariantError(
             f"insertion produced non-complementary canopies: {pair_str(out)}"
         )
+    if w:  # the leaf has no canopy
+        for t, text in zip(out, canopies):
+            remember_canopy(t, text)
     return out
 
 
@@ -215,7 +228,10 @@ def p_shape(u):
     ``ValueError`` even once ``(1, 2)`` is cached, and a list finds the
     entry of its tuple.  The two trees share their equal subtrees (each
     is built once), so a cached pair keeps one node per distinct subtree.
-    Subtrees compare by value (``==``), never by identity.
+    Subtrees compare by value (``==``), never by identity.  On a cache
+    miss, the canopies read off the insertion arrays go to
+    :func:`~baxter.trees.canopy`'s identity memo, so asking for the new
+    trees' canopies next costs no walk.
 
     >>> p_shape([2, 1]) == p_shape((2, 1))
     True

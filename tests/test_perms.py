@@ -1,4 +1,6 @@
 import itertools
+import random
+import re
 from functools import cmp_to_key
 
 import pytest
@@ -284,6 +286,70 @@ def test_is_baxter_matches_the_pattern_scan():
     for n in range(8):
         for p in all_perms(n):
             assert is_baxter(p) == _is_baxter_scan(p), p
+
+
+def _separable(n, rng):
+    """A random separable permutation of 1..n: a direct or skew sum of
+    two smaller ones, down to single letters."""
+    if n <= 1:
+        return (1,) * n
+    k = rng.randint(1, n - 1)
+    left, right = _separable(k, rng), _separable(n - k, rng)
+    if rng.random() < 0.5:  # direct sum: left below right
+        return left + tuple(k + v for v in right)
+    return tuple(n - k + v for v in left) + right
+
+
+def _planted(n, rng, p2, pattern):
+    """A separable permutation of 1..n whose letters at positions p1 < p2,
+    p2 + 1 and p4 are made to read ``pattern`` (a permutation of 1..4),
+    with p1 and p4 drawn at random on either side of the pair."""
+    s = list(_separable(n, rng))
+    at = (rng.randrange(p2), p2, p2 + 1, rng.randrange(p2 + 2, n))
+    values = sorted(s[i] for i in at)
+    for i, rank in zip(at, pattern):
+        s[i] = values[rank - 1]
+    return tuple(s)
+
+
+def test_is_baxter_matches_the_pattern_scan_on_long_permutations():
+    rng = random.Random(27)
+    for n in range(8, 61):
+        uniform = list(range(1, n + 1))
+        rng.shuffle(uniform)
+        separable = _separable(n, rng)
+        assert is_baxter(separable)
+        for p in (tuple(uniform), separable):
+            assert is_baxter(p) == _is_baxter_scan(p), p
+
+
+@pytest.mark.parametrize("pattern, forbidden", [
+    ((2, 4, 1, 3), True), ((3, 1, 4, 2), True),
+    # the same pairs with the outer letters swapped hold neither pattern there
+    ((3, 4, 1, 2), False), ((2, 1, 4, 3), False),
+])
+def test_is_baxter_at_the_first_and_last_adjacent_pairs(pattern, forbidden):
+    # the first pair with a letter before it and the last with one after
+    # it are the first and last steps of the scan that can find a pattern
+    rng = random.Random(f"{pattern}")
+    for n in range(8, 61):
+        for p2 in (1, n - 3):
+            p = _planted(n, rng, p2, pattern)
+            assert is_baxter(p) == _is_baxter_scan(p), p
+            if forbidden:
+                assert is_baxter(p) is False
+
+
+def test_is_baxter_on_long_monotone_permutations():
+    n = 20000
+    assert is_baxter(tuple(range(1, n + 1)))
+    assert is_baxter(tuple(range(n, 0, -1)))
+
+
+@pytest.mark.parametrize("bad", [(1, 1), (2, 3), (0, 1), (1, 2, 4)])
+def test_is_baxter_rejects_non_permutations(bad):
+    with pytest.raises(ValueError, match=rf"^not a permutation: {re.escape(str(bad))}$"):
+        is_baxter(bad)
 
 
 def test_baxter_counts_match_oeis_a001181():

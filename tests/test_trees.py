@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from baxter import trees
+from baxter.insertion import p_shape
 from baxter.trees import (
     LNode,
     Node,
@@ -372,6 +373,66 @@ def test_vector_memo_tells_equal_deep_combs_apart_by_identity(monkeypatch):
     finally:
         sys.setrecursionlimit(limit)
         trees._VECTOR_MEMO.clear()
+
+
+def _fresh_canopy(t):
+    """The canopy of a tree equal to ``t`` that no memo has seen."""
+    copy = parse_tree(tree_str(t))
+    assert id(copy) not in trees._CANOPY_MEMO
+    return canopy(copy)
+
+
+@pytest.mark.parametrize("word", [
+    (1,), (2, 1), (3, 1, 3, 2, 1, 3), (5, 4, 2, 5, 4, 2, 2, 4, 2, 5),
+    tuple(range(1, 3001)), tuple(range(3000, 0, -1)),
+])
+def test_canopy_memo_answers_as_a_fresh_walk(word):
+    trees._CANOPY_MEMO.clear()
+    p_shape.cache_clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # CPython's default
+    try:
+        pair = p_shape(word)
+        for t in pair:
+            assert trees._CANOPY_MEMO[id(t)][0] is t
+            assert canopy(t) == _fresh_canopy(t)
+        assert canopies_complementary(*map(canopy, pair))
+    finally:
+        sys.setrecursionlimit(limit)
+        trees._CANOPY_MEMO.clear()
+
+
+def test_canopy_memo_is_bounded():
+    trees._CANOPY_MEMO.clear()
+    p_shape.cache_clear()
+    bound = trees._CANOPY_MEMO_ENTRIES
+    for n in range(2, bound + 2):  # more pairs than the memo has room for
+        pair = p_shape(tuple(range(n, 0, -1)))
+        assert len(trees._CANOPY_MEMO) <= bound
+        assert [canopy(t) for t in pair] == ["0" * (n - 1), "1" * (n - 1)]
+    trees._CANOPY_MEMO.clear()
+
+
+def test_canopy_memo_keys_by_identity_not_by_value():
+    trees._CANOPY_MEMO.clear()
+    p_shape.cache_clear()
+    left, right = p_shape((2, 4, 1, 3))
+    # an entry that lies about its tree is only ever read for that object
+    trees._CANOPY_MEMO[id(left)] = (left, "poisoned")
+    assert canopy(left) == "poisoned"
+    equal = parse_tree(tree_str(left))
+    assert canopy(equal) == "010"
+    assert id(equal) not in trees._CANOPY_MEMO  # a walk is not stored
+    trees._CANOPY_MEMO.clear()
+    assert canopy(left) == "010"
+
+
+def test_canopy_of_the_leaf_is_refused_after_the_empty_insert():
+    p_shape.cache_clear()
+    assert p_shape(()) == (None, None)
+    assert id(None) not in trees._CANOPY_MEMO
+    with pytest.raises(ValueError, match="canopy of the empty tree is undefined"):
+        canopy(None)
 
 
 def _rotated_by_sizes(t, i, right):
